@@ -649,10 +649,14 @@ void ComponentialAnalyzer::run() {
 
 std::unique_ptr<ConstraintSystem>
 ComponentialAnalyzer::reconstruct(uint32_t CompIdx) {
-  auto Full = std::make_unique<ConstraintSystem>(*Ctx);
+  // Continue the combined system's online closure on a copy: it carries
+  // the fixpoint's high-water marks, so deriving the component combines
+  // only what the derivation adds. A combined close that a token cut
+  // short left the copy short of the fixpoint; close() finishes it.
+  auto Full = std::make_unique<ConstraintSystem>(Combined->clone());
   Full->setCancel(Opts.Cancel);
-  Full->absorbRaw(*Combined);
-  Full->close();
+  if (Combined->closureCancelled())
+    Full->close();
   D->deriveComponent(CompIdx, *Full);
   Info.Closure.merge(Full->stats());
   MaxConstraints = std::max(MaxConstraints, Full->size());

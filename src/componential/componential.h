@@ -152,7 +152,9 @@ std::string componentStoreKey(std::string_view SourceHash,
 
 /// Whole-run solver telemetry: ClosureStats aggregated across every
 /// per-component system, the simplifier's systems, the combined close, and
-/// any reconstructs, plus per-phase wall times. Valid after run().
+/// the derive work of any reconstructs (a reconstruct's copy of the
+/// combined system starts from zero counters), plus per-phase wall times.
+/// Valid after run().
 struct ComponentialRunInfo {
   ClosureStats Closure;
   /// Aggregated schema/instantiation counters of the step-1 private
@@ -190,8 +192,10 @@ public:
   ConstraintContext &context() { return *Ctx; }
 
   /// Step 3: full-precision system for one component: the combined system
-  /// plus the component's complete derivation, closed. Label variables for
-  /// the component's expressions are valid in the result via maps().
+  /// plus the component's complete derivation, closed. The derivation
+  /// continues the closure of a clone() of the combined system. Label
+  /// variables for the component's expressions are valid in the result
+  /// via maps().
   std::unique_ptr<ConstraintSystem> reconstruct(uint32_t CompIdx);
 
   const AnalysisMaps &maps() const { return Maps; }

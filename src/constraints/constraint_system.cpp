@@ -691,6 +691,23 @@ std::vector<Constant> ConstraintSystem::constantsOf(SetVar A) const {
   return Result;
 }
 
+ConstraintSystem ConstraintSystem::clone() const {
+  ConstraintSystem C(*Ctx);
+  C.Slots = Slots;
+  C.Storage = std::vector<VarBounds>(Storage);
+  C.Parent = Parent;
+  C.Keys = Keys;
+  // A drain cut short by a token leaves queued representatives (their
+  // InWorklist flags are copied with Storage) and unresolved ε-edges;
+  // both travel with the copy so its close() picks up where this one
+  // stopped. The cycle-search scratch is epoch-stamped and starts empty.
+  C.Worklist = Worklist;
+  C.EpsPending = EpsPending;
+  C.EpsSearchBudget = EpsSearchBudget;
+  C.NumBounds = NumBounds;
+  return C;
+}
+
 void ConstraintSystem::absorbRaw(const ConstraintSystem &Other) {
   Keys.reserve(Keys.size() + Other.NumBounds);
   for (SetVar A = 0; A < Other.Slots.size(); ++A) {

@@ -67,6 +67,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace spidey {
@@ -314,6 +315,18 @@ public:
   ConstraintSystem(ConstraintSystem &&) = default;
   ConstraintSystem &operator=(ConstraintSystem &&) = default;
 
+  /// An independent deep copy of the complete closure state: slots, bound
+  /// lists, the ε-SCC union-find and member lists, low buckets, dedup
+  /// keys, the exactly-once high-water marks and any pending worklist. A
+  /// clone of a closed system is therefore closed too, and adds on it
+  /// continue the online closure from the fixpoint — nothing is
+  /// re-inserted or re-combined. A clone of a system whose drain a token
+  /// cut short resumes to the exact fixpoint with close(), which re-marks
+  /// every representative. The clone starts with no token, zero stats(),
+  /// and closureCancelled() false. Copying is explicit on purpose: the
+  /// copy constructor is deleted, so no system is copied by accident.
+  ConstraintSystem clone() const;
+
   ConstraintContext &context() const { return *Ctx; }
 
   //===------------------------------------------------------------------===
@@ -505,6 +518,17 @@ private:
   };
 
   struct VarBounds {
+    VarBounds() = default;
+    VarBounds(VarBounds &&) = default;
+    VarBounds &operator=(VarBounds &&) = default;
+    /// Deep copy for clone(): the bucket index is duplicated, not shared.
+    VarBounds(const VarBounds &O)
+        : Lows(O.Lows), Ups(O.Ups), Members(O.Members),
+          Buckets(O.Buckets ? std::make_unique<LowBuckets>(*O.Buckets)
+                            : nullptr),
+          LowsDone(O.LowsDone), UpsDone(O.UpsDone),
+          InWorklist(O.InWorklist), Dirty(O.Dirty) {}
+
     std::vector<LowerBound> Lows; ///< meaningful only at a representative
     std::vector<UpperBound> Ups;  ///< always per original variable
     /// Members of this representative's ε-SCC (ascending, including the
@@ -519,6 +543,9 @@ private:
     bool InWorklist = false;
     bool Dirty = false;
   };
+  // Storage grows by moving slots; a throwing move would make the vector
+  // deep-copy every slot on each reallocation instead.
+  static_assert(std::is_nothrow_move_constructible_v<VarBounds>);
 
   static constexpr uint32_t NoSlot = ~uint32_t(0);
   /// Lows list length at which the selector/kind buckets are built.

@@ -42,13 +42,17 @@ std::vector<Constant> offendingConstants(const CheckScrutinee &Scr,
 } // namespace
 
 DebugReport spidey::runChecks(const Program &P, const AnalysisMaps &Maps,
-                              const ConstraintSystem &S) {
+                              const ConstraintSystem &S,
+                              std::optional<uint32_t> File) {
   DebugReport Report;
   const ConstantTable &Consts = S.context().Constants;
   for (const CheckSite &Site : Maps.Checks) {
+    const SourceLoc &Loc = P.expr(Site.Site).Loc;
+    if (File && Loc.File != *File)
+      continue;
     CheckResult R;
     R.Site = Site.Site;
-    R.Loc = P.expr(Site.Site).Loc;
+    R.Loc = Loc;
     R.What = Site.What;
     for (const CheckScrutinee &Scr : Site.Scrutinees) {
       std::vector<Constant> Bad = offendingConstants(Scr, S);

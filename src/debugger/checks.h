@@ -15,6 +15,7 @@
 
 #include "analysis/analysis.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,13 @@ struct DebugReport {
   std::string perFileSummary(const Program &P) const;
 };
 
-/// Evaluates all recorded check sites against \p S (closed under Θ).
+/// Evaluates the recorded check sites against \p S (closed under Θ): all
+/// of them, or with \p File only those in that component's file — the
+/// step-3 view of one reconstructed component (§7.1), whose system is
+/// precise only for its own sites.
 DebugReport runChecks(const Program &P, const AnalysisMaps &Maps,
-                      const ConstraintSystem &S);
+                      const ConstraintSystem &S,
+                      std::optional<uint32_t> File = std::nullopt);
 
 } // namespace spidey
 

@@ -312,12 +312,12 @@ QueryEngine::SummaryAnswer QueryEngine::checkSummary() {
       Out.Partial = true;
       break;
     }
-    DebugReport Part = runChecks(Prog, CA->maps(), *Full);
+    // Only component I's own sites: the sites earlier reconstructs of this
+    // generation recorded are precise only in their own reconstructions.
+    DebugReport Part = runChecks(Prog, CA->maps(), *Full, I);
     Piece &Pc = Pieces[I];
     Pc.Valid = true;
     for (const CheckResult &CR : Part.Results) {
-      if (CR.Loc.File != I)
-        continue;
       ++Pc.Possible;
       if (!CR.Safe) {
         ++Pc.Unsafe;

@@ -16,6 +16,7 @@
 #include "fuzz/fuzzgen.h"
 #include "test_util.h"
 
+#include <functional>
 #include <random>
 #include <sstream>
 
@@ -35,15 +36,12 @@ struct RandomConstraint {
   KindMask M;
 };
 
-std::vector<RandomConstraint> randomConstraints(ConstraintContext &Ctx,
-                                                unsigned Seed) {
-  std::mt19937 Rng(Seed);
+/// \p NumCs random constraints over the variables \p Vars.
+std::vector<RandomConstraint>
+randomConstraintsOver(ConstraintContext &Ctx, const std::vector<SetVar> &Vars,
+                      uint32_t NumCs, std::mt19937 &Rng) {
   auto Pick = [&](uint32_t N) { return Rng() % N; };
-
-  uint32_t NumVars = 4 + Pick(9);
-  std::vector<SetVar> Vars;
-  for (uint32_t I = 0; I < NumVars; ++I)
-    Vars.push_back(Ctx.freshVar());
+  const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
 
   // A polarity-mixed selector palette and a kind-diverse constant palette.
   std::vector<Selector> Sels = {Ctx.Car,      Ctx.Cdr, Ctx.Rng,
@@ -55,7 +53,7 @@ std::vector<RandomConstraint> randomConstraints(ConstraintContext &Ctx,
       Ctx.Constants.basic(ConstKind::True),
       Ctx.Constants.basic(ConstKind::Pair),
       Ctx.Constants.makeTag(ConstKind::FnTag, 1, SourceLoc{}),
-      Ctx.Constants.makeTag(ConstKind::BoxTag, 0, SourceLoc{}),
+      Ctx.Constants.basic(ConstKind::BoxTag),
   };
   std::vector<KindMask> Masks = {
       AnyKindMask,
@@ -64,7 +62,6 @@ std::vector<RandomConstraint> randomConstraints(ConstraintContext &Ctx,
       kindBit(ConstKind::FnTag) | kindBit(ConstKind::BoxTag),
   };
 
-  uint32_t NumCs = 15 + Pick(46);
   std::vector<RandomConstraint> Out;
   for (uint32_t I = 0; I < NumCs; ++I) {
     RandomConstraint C;
@@ -77,6 +74,17 @@ std::vector<RandomConstraint> randomConstraints(ConstraintContext &Ctx,
     Out.push_back(C);
   }
   return Out;
+}
+
+std::vector<RandomConstraint> randomConstraints(ConstraintContext &Ctx,
+                                                unsigned Seed) {
+  std::mt19937 Rng(Seed);
+  uint32_t NumVars = 4 + Rng() % 9;
+  std::vector<SetVar> Vars;
+  for (uint32_t I = 0; I < NumVars; ++I)
+    Vars.push_back(Ctx.freshVar());
+  uint32_t NumCs = 15 + Rng() % 46;
+  return randomConstraintsOver(Ctx, Vars, NumCs, Rng);
 }
 
 void feedEngine(ConstraintSystem &S, const std::vector<RandomConstraint> &Cs,
@@ -241,4 +249,178 @@ TEST(ClosureEquiv, CorpusProgramSystem) {
   R.absorb(*A.System);
   R.close();
   expectSameSolution(*A.System, R, "corpus program", Cfg.Seed);
+}
+
+//===----------------------------------------------------------------------===
+// clone(): a copy of a closed system continues the online closure from the
+// fixpoint (the componential step-3 reconstruct builds on it). Table-driven
+// over the corpora above: each case is a base system built with raw adds
+// and close(), plus a further batch of random constraints over its
+// variables.
+//===----------------------------------------------------------------------===
+
+namespace {
+
+struct CloneCase {
+  std::string What;
+  ConstraintContext *Ctx;
+  /// Raw adds of the base constraints, then close() under whatever token
+  /// the system carries.
+  std::function<void(ConstraintSystem &)> BuildClosed;
+  std::vector<RandomConstraint> Batch;
+};
+
+void forEachCloneCase(const std::function<void(const CloneCase &)> &Fn) {
+  for (unsigned Seed = 1; Seed <= 25; ++Seed) {
+    ConstraintContext Ctx;
+    std::vector<RandomConstraint> Cs = randomConstraints(Ctx, Seed);
+    std::vector<RandomConstraint> Base(Cs.begin(), Cs.begin() + Cs.size() / 2);
+    std::vector<RandomConstraint> Batch(Cs.begin() + Cs.size() / 2, Cs.end());
+    Fn({"random seed " + std::to_string(Seed), &Ctx,
+        [&](ConstraintSystem &S) { feedEngine(S, Base, /*Raw=*/true); },
+        Batch});
+  }
+  auto Derived = [&](const std::string &What, const Parsed &P,
+                     unsigned Seed) {
+    ASSERT_TRUE(P.Ok) << P.Diags.str();
+    Analysis A = analyzeProgram(*P.Prog);
+    std::mt19937 Rng(Seed);
+    std::vector<RandomConstraint> Batch =
+        randomConstraintsOver(*A.Ctx, A.System->variables(), 40, Rng);
+    Fn({What, A.Ctx.get(),
+        [&](ConstraintSystem &S) {
+          S.absorbRaw(*A.System);
+          S.close();
+        },
+        Batch});
+  };
+  for (unsigned Seed = 1; Seed <= 8; ++Seed) {
+    FuzzGenConfig Cfg;
+    Cfg.Seed = Seed;
+    Derived("fuzz program seed " + std::to_string(Seed),
+            parseFiles(generateFuzzProgram(Cfg)), Seed);
+  }
+  GeneratorConfig Cfg;
+  Cfg.Seed = 7;
+  Cfg.NumComponents = 2;
+  Cfg.TargetLines = 80;
+  Derived("corpus program", parseFiles(generateProgram(Cfg)), Cfg.Seed);
+}
+
+/// The reference fixpoint of every bound \p S holds plus a batch.
+ReferenceClosure referenceOf(const ConstraintSystem &S,
+                             const std::vector<RandomConstraint> &Batch) {
+  ReferenceClosure R(S.context());
+  R.absorb(S);
+  feedReference(R, Batch);
+  return R;
+}
+
+void expectZeroStats(const ClosureStats &St, const std::string &What) {
+  EXPECT_EQ(St.TasksDrained, 0u) << What;
+  EXPECT_EQ(St.CombinesAttempted, 0u) << What;
+  EXPECT_EQ(St.CombinesInserted, 0u) << What;
+  EXPECT_EQ(St.DedupHits, 0u) << What;
+  EXPECT_EQ(St.EpsEdges, 0u) << What;
+  EXPECT_EQ(St.EpsSccsCollapsed, 0u) << What;
+  EXPECT_EQ(St.VarsUnified, 0u) << What;
+  EXPECT_EQ(St.CycleSearchSteps, 0u) << What;
+  EXPECT_EQ(St.PeakWorklistDepth, 0u) << What;
+}
+
+} // namespace
+
+TEST(ClosureEquiv, CloneOfClosedSystemRendersIdentically) {
+  forEachCloneCase([](const CloneCase &C) {
+    ConstraintSystem S(*C.Ctx);
+    C.BuildClosed(S);
+    ConstraintSystem Copy = S.clone();
+    EXPECT_EQ(Copy.str(), S.str()) << C.What;
+    EXPECT_EQ(Copy.size(), S.size()) << C.What;
+    EXPECT_EQ(Copy.variables(), S.variables()) << C.What;
+  });
+}
+
+TEST(ClosureEquiv, CloneContinuesTheClosureFromTheFixpoint) {
+  forEachCloneCase([](const CloneCase &C) {
+    ConstraintSystem S(*C.Ctx);
+    C.BuildClosed(S);
+    const std::string Before = S.str();
+
+    ConstraintSystem Copy = S.clone();
+    feedEngine(Copy, C.Batch, /*Raw=*/false);
+    // The long way round: re-insert every bound and close again.
+    ConstraintSystem Rebuilt(*C.Ctx);
+    Rebuilt.absorbRaw(S);
+    Rebuilt.close();
+    feedEngine(Rebuilt, C.Batch, /*Raw=*/false);
+
+    EXPECT_EQ(Copy.str(), Rebuilt.str()) << C.What;
+    EXPECT_EQ(Copy.size(), Rebuilt.size()) << C.What;
+    expectSameSolution(Copy, referenceOf(S, C.Batch), C.What.c_str(), 0);
+    EXPECT_EQ(S.str(), Before) << C.What << ": the source changed";
+  });
+}
+
+TEST(ClosureEquiv, CloneOfCutShortCloseResumesToTheFixpoint) {
+  unsigned CutShort = 0;
+  forEachCloneCase([&](const CloneCase &C) {
+    ConstraintSystem Full(*C.Ctx);
+    C.BuildClosed(Full);
+    // A budget of half the full close's work trips mid-drain whenever the
+    // close polls at all (large enough systems); smaller ones finish.
+    CancelToken Budget;
+    Budget.setWorkBudget(Full.stats().CombinesAttempted / 2 + 1);
+    ConstraintSystem Cut(*C.Ctx);
+    Cut.setCancel(&Budget);
+    C.BuildClosed(Cut);
+    if (!Cut.closureCancelled())
+      return;
+    ++CutShort;
+
+    ConstraintSystem Copy = Cut.clone();
+    CancelToken Fresh;
+    Copy.setCancel(&Fresh);
+    Copy.close();
+    EXPECT_FALSE(Copy.closureCancelled()) << C.What;
+    EXPECT_EQ(Copy.str(), Full.str()) << C.What;
+    // Every bound of the cut system is real, so the reference closure of
+    // it is the base's fixpoint.
+    expectSameSolution(Copy, referenceOf(Cut, {}), C.What.c_str(), 0);
+  });
+  EXPECT_GT(CutShort, 0u) << "no corpus system was large enough to cut";
+}
+
+TEST(ClosureEquiv, CloneStartsWithZeroStatsAndChargesNoSourceToken) {
+  unsigned WouldCharge = 0;
+  forEachCloneCase([&](const CloneCase &C) {
+    // Cut the source's close short at its first poll, then give it a
+    // counting token: finishing the close on a clone that had kept the
+    // source's token would charge it.
+    CancelToken Stop;
+    Stop.cancel();
+    ConstraintSystem S(*C.Ctx);
+    S.setCancel(&Stop);
+    C.BuildClosed(S);
+    CancelToken Counting;
+    S.setCancel(&Counting);
+
+    ConstraintSystem Copy = S.clone();
+    expectZeroStats(Copy.stats(), C.What);
+    EXPECT_FALSE(Copy.closureCancelled()) << C.What;
+    Copy.close();
+    feedEngine(Copy, C.Batch, /*Raw=*/false);
+    EXPECT_FALSE(Copy.closureCancelled()) << C.What;
+    EXPECT_EQ(Counting.workUsed(), 0u) << C.What;
+    // A drain charges its token at least every 64 tasks or 1024 combines.
+    const ClosureStats &Work = Copy.stats();
+    WouldCharge += Work.CombinesAttempted &&
+                   (Work.TasksDrained >= 64 || Work.CombinesAttempted >= 1024);
+
+    ConstraintSystem Closed(*C.Ctx);
+    C.BuildClosed(Closed);
+    feedEngine(Closed, C.Batch, /*Raw=*/false);
+    EXPECT_EQ(Copy.str(), Closed.str()) << C.What;
+  });
+  EXPECT_GT(WouldCharge, 0u) << "no clone did enough work to be charged";
 }

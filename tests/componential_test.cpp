@@ -100,6 +100,98 @@ TEST(Componential, ReconstructRecoversLabels) {
   }
 }
 
+// reconstruct() copies the closed combined system and continues its
+// closure. When a token cut the combined close short, the copy is closed
+// first, so every reconstruct still matches one from an uncut run —
+// wherever in the close the budget ran out.
+TEST(Componential, ReconstructAfterCutShortCloseMatchesUncutRun) {
+  // The work must sit in the combined close, so every flow crosses files:
+  // 40 closures flow into `f`, 30 filtered reads of `f` feed a sink (one
+  // representative with 1,200 combines, past the drain's poll stride), and
+  // a 60-link chain with one define per file makes many small
+  // representatives (past the drain's forced-poll interval).
+  std::string Fns = "(define f ";
+  for (int I = 0; I < 40; ++I)
+    Fns += "(if (zero? " + std::to_string(I) + ") (lambda (a) " +
+           std::to_string(I) + ") ";
+  Fns += "#f" + std::string(41, ')');
+  std::string Uses, Sink = "(define sink (list";
+  for (int I = 0; I < 30; ++I) {
+    std::string N = std::to_string(I);
+    Uses += "(define g" + N + " (if (procedure? f) f " + N + "))";
+    Sink += " g" + N;
+  }
+  Sink += "))";
+  std::vector<SourceFile> Files = {{"fns.ss", Fns},
+                                   {"uses.ss", Uses},
+                                   {"sink.ss", Sink},
+                                   {"c0.ss", "(define c0 (cons 1 2))"}};
+  for (int I = 1; I < 60; ++I) {
+    std::string N = std::to_string(I), Prev = std::to_string(I - 1);
+    Files.push_back({"c" + N + ".ss", "(define c" + N + " (cons c" + Prev +
+                                          " (car c" + Prev + ")))"});
+  }
+  const std::vector<uint32_t> Focus = {0, 1, 2, 62};
+
+  Parsed UncutP = parseFiles(Files);
+  ASSERT_TRUE(UncutP.Ok) << UncutP.Diags.str();
+  ComponentialOptions Opts;
+  Opts.Threads = 1; // deterministic charge order
+  ComponentialAnalyzer Uncut(*UncutP.Prog, Opts);
+  Uncut.run();
+  const uint64_t Total = Uncut.runInfo().Closure.CombinesAttempted;
+  std::vector<std::string> Want;
+  for (uint32_t I : Focus)
+    Want.push_back(Uncut.reconstruct(I)->str());
+
+  enum class Trip { Derive, Close, None };
+  struct Run {
+    Parsed P;
+    CancelToken Tok;
+    std::unique_ptr<ComponentialAnalyzer> CA;
+  };
+  auto runWith = [&](uint64_t Budget, Run &R) {
+    R.P = parseFiles(Files);
+    R.Tok.setWorkBudget(Budget);
+    ComponentialOptions O = Opts;
+    O.Cancel = &R.Tok;
+    R.CA = std::make_unique<ComponentialAnalyzer>(*R.P.Prog, O);
+    R.CA->run();
+    for (const ComponentRunStats &CS : R.CA->componentStats())
+      if (CS.TimedOut)
+        return Trip::Derive;
+    return R.CA->runInfo().CloseConverged ? Trip::None : Trip::Close;
+  };
+  // The smallest budget under which every component derives and merges.
+  uint64_t Lo = 1, Hi = Total + 1;
+  while (Lo < Hi) {
+    uint64_t Mid = Lo + (Hi - Lo) / 2;
+    Run Probe;
+    if (runWith(Mid, Probe) == Trip::Derive)
+      Lo = Mid + 1;
+    else
+      Hi = Mid;
+  }
+
+  // Cut the combined close at budgets spread over its work.
+  unsigned CutShort = 0;
+  for (uint64_t Budget = Lo; Budget <= Total; Budget += (Total - Lo) / 24 + 1) {
+    Run Cut;
+    if (runWith(Budget, Cut) != Trip::Close)
+      continue;
+    ++CutShort;
+    ASSERT_TRUE(Cut.CA->combined().closureCancelled());
+    Cut.Tok.rearm(0, 0);
+    for (size_t K = 0; K < Focus.size(); ++K) {
+      auto Full = Cut.CA->reconstruct(Focus[K]);
+      EXPECT_FALSE(Full->closureCancelled()) << "budget " << Budget;
+      EXPECT_EQ(Full->str(), Want[K])
+          << "budget " << Budget << ", component " << Focus[K];
+    }
+  }
+  EXPECT_GT(CutShort, 1u);
+}
+
 TEST(Componential, ConstraintFilesRoundTrip) {
   namespace fs = std::filesystem;
   std::string Dir =

@@ -11,16 +11,108 @@
 #include "debugger/checks.h"
 #include "test_util.h"
 
+#include <map>
+#include <ostream>
+#include <string_view>
+
 using namespace spidey;
 using namespace spidey::test;
 
 namespace {
+
+using NameTable = std::map<std::string_view, std::string_view>;
+
+/// Prints a case as its ctest name. gtest_discover_tests names each case
+/// after its printed parameter, and without a printer these structs printed
+/// as their raw bytes: pointer values, different in every build and run.
+/// The cases of that time keep the name their results were recorded under
+/// (\p Recorded, keyed by source), so test lists from before and after
+/// compare name by name; a case added since is named by its source.
+void printCaseName(const char *Source, const NameTable &Recorded,
+                   std::ostream *OS) {
+  auto It = Recorded.find(Source);
+  *OS << (It != Recorded.end() ? It->second : std::string_view(Source));
+}
 
 struct PrimCase {
   const char *Source;
   const char *Expected;
   const char *Input = "";
 };
+
+const NameTable RecordedPrimNames = {
+    {"(cons 1 2)", "24-byte object <F4-96 FB-B7 98-55 00-00 FF-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(car (cons 1 2))", "24-byte object <07-97 FB-B7 98-55 00-00 6C-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(cdr (cons 1 2))", "24-byte object <18-97 FB-B7 98-55 00-00 F0-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(pair? (cons 1 2))", "24-byte object <29-97 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(null? '())", "24-byte object <3C-97 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(list 1 'a \"s\")", "24-byte object <48-97 FB-B7 98-55 00-00 58-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(box 1)", "24-byte object <62-97 FB-B7 98-55 00-00 6A-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(unbox (box 'x))", "24-byte object <6E-97 FB-B7 98-55 00-00 26-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(let ([b (box 0)]) (set-box! b 9))", "24-byte object <40-90 FB-B7 98-55 00-00 7F-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(box? 5)", "24-byte object <81-97 FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(make-vector 2 'z)", "24-byte object <8A-97 FB-B7 98-55 00-00 9D-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(vector 1 2)", "24-byte object <A4-97 FB-B7 98-55 00-00 B1-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(vector-ref (vector 7 8) 1)", "24-byte object <B8-97 FB-B7 98-55 00-00 EB-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(let ([v (vector 0)]) (vector-set! v 0 5))", "24-byte object <68-90 FB-B7 98-55 00-00 D4-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(vector-length (vector 1 2 3))", "24-byte object <98-90 FB-B7 98-55 00-00 ED-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(vector? (vector))", "24-byte object <DC-97 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(+ 1 2 3)", "24-byte object <EF-97 FB-B7 98-55 00-00 F9-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(- 9 4)", "24-byte object <FB-97 FB-B7 98-55 00-00 6D-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(* 3 4)", "24-byte object <03-98 FB-B7 98-55 00-00 EF-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(/ 8 2)", "24-byte object <0B-98 FB-B7 98-55 00-00 F2-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(quotient 9 2)", "24-byte object <13-98 FB-B7 98-55 00-00 F2-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(remainder 9 2)", "24-byte object <22-98 FB-B7 98-55 00-00 6C-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(modulo -9 2)", "24-byte object <32-98 FB-B7 98-55 00-00 6C-97 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(min 4 2 8)", "24-byte object <40-98 FB-B7 98-55 00-00 F0-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(max 4 2 8)", "24-byte object <4C-98 FB-B7 98-55 00-00 EB-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(abs -3)", "24-byte object <58-98 FB-B7 98-55 00-00 ED-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(floor 3.7)", "24-byte object <61-98 FB-B7 98-55 00-00 ED-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(add1 1)", "24-byte object <6D-98 FB-B7 98-55 00-00 F0-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(sub1 1)", "24-byte object <76-98 FB-B7 98-55 00-00 7F-98 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(zero? 0)", "24-byte object <81-98 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(< 1 2)", "24-byte object <8B-98 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(> 1 2)", "24-byte object <93-98 FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(<= 2 2)", "24-byte object <9B-98 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(>= 1 2)", "24-byte object <A4-98 FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(= 3 3)", "24-byte object <AD-98 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(number? 'a)", "24-byte object <B5-98 FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(bitwise-and 6 3)", "24-byte object <C2-98 FB-B7 98-55 00-00 F0-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(bitwise-ior 6 3)", "24-byte object <D4-98 FB-B7 98-55 00-00 E6-98 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(bitwise-xor 6 3)", "24-byte object <E8-98 FB-B7 98-55 00-00 6D-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(arithmetic-shift 3 2)", "24-byte object <FA-98 FB-B7 98-55 00-00 EF-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(< (random 10) 10)", "24-byte object <11-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(not #f)", "24-byte object <24-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(boolean? #t)", "24-byte object <2D-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(symbol? 'a)", "24-byte object <3B-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string? \"s\")", "24-byte object <48-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(char? #\\a)", "24-byte object <56-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(procedure? (lambda (x) x))", "24-byte object <62-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(procedure? (call/cc (lambda (k) k)))", "24-byte object <B8-90 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(eof-object? (read-char))", "24-byte object <7E-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(eq? 'a 'a)", "24-byte object <98-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(equal? (list 1) (list 1))", "24-byte object <A4-99 FB-B7 98-55 00-00 E8-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string-length \"abc\")", "24-byte object <BF-99 FB-B7 98-55 00-00 ED-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string-append \"a\" \"b\")", "24-byte object <D5-99 FB-B7 98-55 00-00 ED-99 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(substring \"hello\" 1 4)", "24-byte object <F2-99 FB-B7 98-55 00-00 0A-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string-ref \"xy\" 0)", "24-byte object <10-9A FB-B7 98-55 00-00 24-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string=? \"a\" \"b\")", "24-byte object <28-9A FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(number->string 12)", "24-byte object <3B-9A FB-B7 98-55 00-00 4F-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string->number \"3.5\")", "24-byte object <54-9A FB-B7 98-55 00-00 6B-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string->number \"zzz\")", "24-byte object <6F-9A FB-B7 98-55 00-00 E1-96 FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(symbol->string 'hey)", "24-byte object <86-9A FB-B7 98-55 00-00 9C-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(string->symbol \"dyn\")", "24-byte object <A2-9A FB-B7 98-55 00-00 B9-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(char->integer #\\A)", "24-byte object <BD-9A FB-B7 98-55 00-00 D1-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(integer->char 66)", "24-byte object <D4-9A FB-B7 98-55 00-00 E7-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(begin (display 1) (newline) 'done)", "24-byte object <E0-90 FB-B7 98-55 00-00 EB-9A FB-B7 98-55 00-00 34-C4 FB-B7 98-55 00-00>"},
+    {"(read-line)", "24-byte object <F0-9A FB-B7 98-55 00-00 FC-9A FB-B7 98-55 00-00 04-9B FB-B7 98-55 00-00>"},
+    {"(read-char)", "24-byte object <0F-9B FB-B7 98-55 00-00 E4-96 FB-B7 98-55 00-00 E6-96 FB-B7 98-55 00-00>"},
+    {"(peek-char)", "24-byte object <1B-9B FB-B7 98-55 00-00 E4-96 FB-B7 98-55 00-00 E6-96 FB-B7 98-55 00-00>"},
+};
+
+void PrintTo(const PrimCase &C, std::ostream *OS) {
+  printCaseName(C.Source, RecordedPrimNames, OS);
+}
 
 class PrimTableTest : public ::testing::TestWithParam<PrimCase> {};
 
@@ -134,6 +226,43 @@ namespace {
 struct FaultCase {
   const char *Source;
 };
+
+const NameTable RecordedFaultNames = {
+    {"(car 'a)", "8-byte object <03-95 FB-B7 98-55 00-00>"},
+    {"(cdr 1)", "8-byte object <0C-95 FB-B7 98-55 00-00>"},
+    {"(unbox \"s\")", "8-byte object <14-95 FB-B7 98-55 00-00>"},
+    {"(set-box! 1 2)", "8-byte object <20-95 FB-B7 98-55 00-00>"},
+    {"(make-vector 'n)", "8-byte object <2F-95 FB-B7 98-55 00-00>"},
+    {"(vector-ref '() 0)", "8-byte object <40-95 FB-B7 98-55 00-00>"},
+    {"(vector-set! 'v 0 1)", "8-byte object <53-95 FB-B7 98-55 00-00>"},
+    {"(vector-length 0)", "8-byte object <68-95 FB-B7 98-55 00-00>"},
+    {"(+ 1 'a)", "8-byte object <7A-95 FB-B7 98-55 00-00>"},
+    {"(- \"x\")", "8-byte object <83-95 FB-B7 98-55 00-00>"},
+    {"(* 1 #t)", "8-byte object <8B-95 FB-B7 98-55 00-00>"},
+    {"(/ 'a 1)", "8-byte object <94-95 FB-B7 98-55 00-00>"},
+    {"(quotient #f 1)", "8-byte object <9D-95 FB-B7 98-55 00-00>"},
+    {"(abs 'a)", "8-byte object <AD-95 FB-B7 98-55 00-00>"},
+    {"(add1 \"1\")", "8-byte object <B6-95 FB-B7 98-55 00-00>"},
+    {"(zero? 'z)", "8-byte object <C1-95 FB-B7 98-55 00-00>"},
+    {"(< 1 'two)", "8-byte object <CC-95 FB-B7 98-55 00-00>"},
+    {"(bitwise-and 'a 1)", "8-byte object <D7-95 FB-B7 98-55 00-00>"},
+    {"(arithmetic-shift #t 1)", "8-byte object <EA-95 FB-B7 98-55 00-00>"},
+    {"(string-length 'sym)", "8-byte object <02-96 FB-B7 98-55 00-00>"},
+    {"(string-append \"a\" 5)", "8-byte object <17-96 FB-B7 98-55 00-00>"},
+    {"(substring 5 0 1)", "8-byte object <2D-96 FB-B7 98-55 00-00>"},
+    {"(string-ref 'a 0)", "8-byte object <3F-96 FB-B7 98-55 00-00>"},
+    {"(string=? \"a\" 'a)", "8-byte object <51-96 FB-B7 98-55 00-00>"},
+    {"(number->string \"5\")", "8-byte object <63-96 FB-B7 98-55 00-00>"},
+    {"(string->number 5)", "8-byte object <78-96 FB-B7 98-55 00-00>"},
+    {"(symbol->string \"s\")", "8-byte object <8B-96 FB-B7 98-55 00-00>"},
+    {"(string->symbol 'already)", "8-byte object <A0-96 FB-B7 98-55 00-00>"},
+    {"(char->integer 97)", "8-byte object <BA-96 FB-B7 98-55 00-00>"},
+    {"(integer->char #\\a)", "8-byte object <CD-96 FB-B7 98-55 00-00>"},
+};
+
+void PrintTo(const FaultCase &C, std::ostream *OS) {
+  printCaseName(C.Source, RecordedFaultNames, OS);
+}
 
 class PrimFaultTest : public ::testing::TestWithParam<FaultCase> {};
 

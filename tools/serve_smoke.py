@@ -20,7 +20,8 @@ concurrent clients drive it: a first client warms the shared store, the
 rest analyze the same program concurrently and must each be served
 entirely from it (cross-session store hits), with flow/check-summary
 answers byte-identical across every client; any client's shutdown then
-drains the daemon and unlinks the socket.
+drains the daemon and unlinks the socket. A second daemon then drains on
+SIGTERM with N clients still connected.
 
 Usage: serve_smoke.py path/to/spidey-serve [source dir]
        [--chaos SPEC] [--clients N]
@@ -29,6 +30,7 @@ Exit status 0 on success; 1 with a diagnostic on any violation.
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -77,6 +79,22 @@ class Client:
         self.sock.close()
 
 
+def spawn_socket_daemon(cmdline, sockpath):
+    """Starts a socket-mode daemon and waits until it has bound
+    sockpath; None (after a diagnostic) if it never does."""
+    proc = subprocess.Popen(cmdline)
+    deadline = time.monotonic() + 10
+    while not os.path.exists(sockpath):
+        if time.monotonic() > deadline or proc.poll() is not None:
+            print("serve_smoke: daemon never bound its socket",
+                  file=sys.stderr)
+            if proc.poll() is None:
+                proc.kill()
+            return None
+        time.sleep(0.05)
+    return proc
+
+
 def multi_client_smoke(binary, files, clients):
     """N concurrent clients over one daemon: the shared store serves all
     but the first, answers are byte-identical across clients, and any
@@ -87,17 +105,13 @@ def multi_client_smoke(binary, files, clients):
         if not cond:
             failures.append(what)
 
-    sockpath = os.path.join(tempfile.mkdtemp(prefix="spidey-smoke-"),
-                            "serve.sock")
-    proc = subprocess.Popen([binary, "--socket", sockpath,
-                             "--max-sessions", str(clients + 1)] + files)
-    deadline = time.monotonic() + 10
-    while not os.path.exists(sockpath):
-        if time.monotonic() > deadline or proc.poll() is not None:
-            print("serve_smoke: daemon never bound its socket",
-                  file=sys.stderr)
-            return 1
-        time.sleep(0.05)
+    sockdir = tempfile.mkdtemp(prefix="spidey-smoke-")
+    sockpath = os.path.join(sockdir, "serve.sock")
+    proc = spawn_socket_daemon(
+        [binary, "--socket", sockpath, "--max-sessions", str(clients + 1)]
+        + files, sockpath)
+    if proc is None:
+        return 1
 
     # Client 0 warms the shared store with a cold analyze.
     warmup = Client(sockpath)
@@ -147,12 +161,31 @@ def multi_client_smoke(binary, files, clients):
     check(proc.wait(timeout=30) == 0, "daemon exited non-zero")
     check(not os.path.exists(sockpath), "socket file must be unlinked")
 
+    # SIGTERM drains as well, with every client still connected: the
+    # signal handler raises the flag that each connection thread polls.
+    sockpath = os.path.join(sockdir, "drain.sock")
+    proc = spawn_socket_daemon([binary, "--socket", sockpath] + files,
+                               sockpath)
+    if proc is None:
+        return 1
+    idle = [Client(sockpath) for _ in range(clients)]
+    for idx, c in enumerate(idle):
+        a = c.request({"cmd": "analyze"})
+        check(a.get("ok"), f"client {idx} analyze before SIGTERM: {a}")
+    proc.send_signal(signal.SIGTERM)
+    check(proc.wait(timeout=30) == 0, "SIGTERM drain exited non-zero")
+    check(not os.path.exists(sockpath),
+          "SIGTERM drain must unlink the socket file")
+    for c in idle:
+        c.close()
+
     if failures:
         for f in failures:
             print(f"serve_smoke: FAIL: {f}", file=sys.stderr)
         return 1
     print(f"serve_smoke: OK multi-tenant ({clients} concurrent clients"
-          " served from one shared store, byte-identical answers)")
+          " served from one shared store, byte-identical answers;"
+          " SIGTERM drain with clients connected)")
     return 0
 
 

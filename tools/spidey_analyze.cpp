@@ -19,6 +19,7 @@
 #include "componential/componential.h"
 #include "debugger/checks.h"
 #include "lang/parser.h"
+#include "query/query_engine.h"
 
 #include <cstdint>
 #include <cstring>
@@ -198,18 +199,14 @@ int main(int Argc, char **Argv) {
   ComponentialAnalyzer CA(P, Opts);
   CA.run();
 
-  // Step 3 per component: reconstruct full precision and collect the
-  // component's own check results (the focused-component view of §7.1,
-  // swept over every component).
-  DebugReport Report;
-  for (uint32_t I = 0; I < P.Components.size(); ++I) {
-    std::unique_ptr<ConstraintSystem> Full = CA.reconstruct(I);
-    DebugReport Part = runChecks(P, CA.maps(), *Full);
-    for (CheckResult &R : Part.Results)
-      if (R.Loc.File == I)
-        Report.Results.push_back(std::move(R));
-  }
-  std::cout << Report.summary(P);
+  // Step 3 per component, through the same sweep the serve daemon's
+  // check-summary runs: reconstruct full precision for each component and
+  // keep the component's own verdicts (the focused-component view of
+  // §7.1, swept over every component).
+  QueryEngine Queries;
+  Queries.rebind(P, CA, /*Tok=*/nullptr, /*Volatile=*/false,
+                 /*AllowVerdictCache=*/false, CA.optionsFingerprint());
+  std::cout << Queries.checkSummary().Summary;
 
   size_t Reused = 0, FileBytes = 0;
   for (const ComponentRunStats &CS : CA.componentStats()) {

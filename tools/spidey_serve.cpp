@@ -77,13 +77,19 @@ constexpr size_t MaxLineBytes = 1u << 20; // 1 MiB
 /// with a "busy" answer (overridable with --max-sessions).
 constexpr size_t DefaultMaxSessions = 64;
 
-volatile std::sig_atomic_t GotSignal = 0;
+/// The drain signal that arrived, or 0. The SIGTERM/SIGINT handler writes
+/// it while connection threads read it, so it is a lock-free atomic: a
+/// volatile sig_atomic_t is safe against the handler on one thread, but
+/// racy across threads.
+std::atomic<int> GotSignal{0};
+static_assert(std::atomic<int>::is_always_lock_free,
+              "signal handlers may only touch lock-free atomics");
 
 /// Set when any client's shutdown request should drain the daemon; the
 /// accept loop polls it between accepts.
 std::atomic<bool> DrainRequested{false};
 
-void onSignal(int Sig) { GotSignal = Sig; }
+void onSignal(int Sig) { GotSignal.store(Sig); }
 
 /// SIGTERM/SIGINT request a graceful drain; handlers deliberately omit
 /// SA_RESTART so blocking accept()/read() wake with EINTR and observe the
