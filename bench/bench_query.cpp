@@ -13,6 +13,11 @@
 ///  - walk flow: a warm serve session answering a name's *first* query —
 ///    name-index lookup plus an index-backed reachability walk;
 ///  - warm flow: the same name again — the region-summary memo path;
+///  - first flow: the first query of a new analysis generation (a probe
+///    edit to the last file, its text restored, then analyze), on a name
+///    the session has not asked before — what a user waits for after an
+///    edit: the generation's region digests, flow index and name index,
+///    then the walk;
 ///  - summary: the first check-summary (full reconstruct sweep) vs the
 ///    sweep after a one-component probe edit, which must re-check exactly
 ///    one component.
@@ -21,7 +26,7 @@
 /// a divergence or an over-wide recheck fails the benchmark. With --json
 /// the numbers are emitted as machine-readable JSON (consumed by
 /// bench/run_benches.sh to produce BENCH_query.json; the sba flow
-/// speedup is gated in CI by bench/check_perf_floor.py).
+/// speedup and first flow are gated in CI by bench/check_perf_floor.py).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +63,7 @@ struct Result {
   double IndexBuildMs = 1e300;   ///< one FlowIndex build (per generation)
   double WalkFlowMs = 1e300;     ///< first query of a name, warm session
   double WarmFlowMs = 1e300;     ///< repeat query: memoized summary path
+  double FirstFlowMs = 1e300;    ///< first query of a fresh generation
   double ColdSummaryMs = 1e300;  ///< first check-summary: full sweep
   double EditSummaryMs = 1e300;  ///< sweep after a 1-component probe edit
   uint64_t Rechecked = 0;        ///< of the timed edit sweep
@@ -71,6 +77,11 @@ struct FlowPayload {
   SetVar Var = NoSetVar;
   size_t Parents = 0, Children = 0, Ancestors = 0, Descendants = 0;
 };
+
+FlowPayload payloadOf(const FlowGraph &FG, SetVar V) {
+  return {V, FG.parents(V).size(), FG.children(V).size(),
+          FG.ancestors(V).size(), FG.descendants(V).size()};
+}
 
 json::Value flowRequest(const std::string &Name) {
   json::Value R = json::Value::object();
@@ -122,14 +133,7 @@ Result benchProgram(const char *Name) {
   // whole combined system, then the payload.
   FlowPayload Ref;
   for (int Rep = 0; Rep < Repeats; ++Rep) {
-    double Ms = timeMs([&] {
-      FlowGraph FG(S);
-      Ref.Var = QueryVar;
-      Ref.Parents = FG.parents(QueryVar).size();
-      Ref.Children = FG.children(QueryVar).size();
-      Ref.Ancestors = FG.ancestors(QueryVar).size();
-      Ref.Descendants = FG.descendants(QueryVar).size();
-    });
+    double Ms = timeMs([&] { Ref = payloadOf(FlowGraph(S), QueryVar); });
     Res.BaselineFlowMs = std::min(Res.BaselineFlowMs, Ms);
   }
 
@@ -149,16 +153,17 @@ Result benchProgram(const char *Name) {
   Analyze.set("cmd", "analyze");
   Session.handle(Analyze);
 
-  auto checkAnswer = [&](const json::Value &R) {
+  auto checkPayload = [&](const json::Value &R, const std::string &Query,
+                          const FlowPayload &Want) {
     bool Ok = R.find("ok") && R.find("ok")->asBool() &&
-              num(R, "var") == double(Ref.Var) &&
-              num(R, "parents") == double(Ref.Parents) &&
-              num(R, "children") == double(Ref.Children) &&
-              num(R, "ancestors") == double(Ref.Ancestors) &&
-              num(R, "descendants") == double(Ref.Descendants);
+              num(R, "var") == double(Want.Var) &&
+              num(R, "parents") == double(Want.Parents) &&
+              num(R, "children") == double(Want.Children) &&
+              num(R, "ancestors") == double(Want.Ancestors) &&
+              num(R, "descendants") == double(Want.Descendants);
     if (!Ok) {
       std::fprintf(stderr, "bench_query: %s flow(%s) diverged: %s\n", Name,
-                   QueryName.c_str(), R.dump().c_str());
+                   Query.c_str(), R.dump().c_str());
       Res.AnswersMatch = false;
     }
   };
@@ -170,7 +175,7 @@ Result benchProgram(const char *Name) {
     json::Value R;
     double Ms = timeMs([&] { R = Session.handle(flowRequest(QueryName)); });
     Res.WalkFlowMs = Ms;
-    checkAnswer(R);
+    checkPayload(R, QueryName, Ref);
     size_t Extra = Names.size() > 1 ? Names.size() - 1 : 0;
     for (size_t I = 0; I < std::min<size_t>(Extra, Repeats - 1); ++I) {
       const std::string &N = Names[Names.size() - 2 - I].first;
@@ -186,7 +191,7 @@ Result benchProgram(const char *Name) {
     json::Value R;
     double Ms = timeMs([&] { R = Session.handle(flowRequest(QueryName)); });
     Res.WarmFlowMs = std::min(Res.WarmFlowMs, Ms);
-    checkAnswer(R);
+    checkPayload(R, QueryName, Ref);
   }
 
   // Summary: full sweep cold, then after a one-component probe edit.
@@ -219,6 +224,38 @@ Result benchProgram(const char *Name) {
   }
   Res.RecheckedExactlyOne =
       Res.Rechecked == 1 && Res.Reused == Res.Components - 1;
+
+  // First flow: a new generation over the original program (probe edit,
+  // text restored, analyze), then a name no earlier request asked — so
+  // nothing is memoized and the query pays the generation's set-up. The
+  // walk above asked the last Repeats names; these come from the front.
+  if (Names.size() < 2 * size_t(Repeats)) {
+    std::fprintf(stderr, "bench_query: %s has too few top-level names\n",
+                 Name);
+    std::exit(1);
+  }
+  FlowGraph RefGraph(S);
+  for (int Rep = 0; Rep < Repeats; ++Rep) {
+    json::Value Edit = json::Value::object();
+    Edit.set("cmd", "edit");
+    Edit.set("file", Target.Name);
+    Edit.set("text", Target.Text + "\n(define query-bench-first-" +
+                         std::to_string(Rep) + " 42)");
+    Session.handle(Edit);
+    Edit.set("text", Target.Text);
+    Session.handle(Edit);
+    Session.handle(Analyze);
+    const std::string &FirstName = Names[Rep].first;
+    json::Value R;
+    double Ms = timeMs([&] { R = Session.handle(flowRequest(FirstName)); });
+    Res.FirstFlowMs = std::min(Res.FirstFlowMs, Ms);
+    if (R.find("memoized")) {
+      std::fprintf(stderr, "bench_query: %s first flow(%s) was memoized\n",
+                   Name, FirstName.c_str());
+      Res.AnswersMatch = false;
+    }
+    checkPayload(R, FirstName, payloadOf(RefGraph, Names[Rep].second));
+  }
   return Res;
 }
 
@@ -226,14 +263,15 @@ void printTable(const std::vector<Result> &Results) {
   std::printf("== demand-driven queries: FlowGraph rebuild vs persistent "
               "index + memo (best of %d) ==\n",
               Repeats);
-  std::printf("%-10s %6s %7s %10s %10s %10s %10s %8s %11s %11s %9s\n",
-              "program", "comps", "lines", "base ms", "index ms", "walk ms",
-              "warm ms", "speedup", "sweep ms", "edit ms", "recheck");
+  std::printf("%-10s %6s %7s %10s %10s %10s %10s %10s %8s %11s %11s %9s\n",
+              "program", "comps", "lines", "base ms", "index ms", "first ms",
+              "walk ms", "warm ms", "speedup", "sweep ms", "edit ms",
+              "recheck");
   for (const Result &R : Results)
-    std::printf("%-10s %6zu %7zu %10.3f %10.3f %10.3f %10.4f %7.0fx %11.1f "
-                "%11.1f %4llu/%-4zu\n",
+    std::printf("%-10s %6zu %7zu %10.3f %10.3f %10.3f %10.3f %10.4f %7.0fx "
+                "%11.1f %11.1f %4llu/%-4zu\n",
                 R.Name.c_str(), R.Components, R.Lines, R.BaselineFlowMs,
-                R.IndexBuildMs, R.WalkFlowMs, R.WarmFlowMs,
+                R.IndexBuildMs, R.FirstFlowMs, R.WalkFlowMs, R.WarmFlowMs,
                 R.WarmFlowMs > 0 ? R.BaselineFlowMs / R.WarmFlowMs : 0.0,
                 R.ColdSummaryMs, R.EditSummaryMs,
                 static_cast<unsigned long long>(R.Rechecked), R.Components);
@@ -248,6 +286,7 @@ void printJson(const std::vector<Result> &Results) {
     P.set("lines", R.Lines);
     P.set("baseline_flow_ms", R.BaselineFlowMs);
     P.set("index_build_ms", R.IndexBuildMs);
+    P.set("first_flow_ms", R.FirstFlowMs);
     P.set("walk_flow_ms", R.WalkFlowMs);
     P.set("warm_flow_ms", R.WarmFlowMs);
     P.set("flow_speedup",

@@ -16,9 +16,11 @@ runner noise.
 When bench_query.json is given, the floor file's `query` block is also
 enforced: warm memoized flow must beat the FlowGraph-rebuild baseline by
 at least `flow_speedup_floor` (the acceptance bar — no extra allowance;
-healthy runs clear it by orders of magnitude), the edit-sweep must
-re-check exactly `rechecked_after_edit` components, and every payload
-must have matched the reference analyzer.
+healthy runs clear it by orders of magnitude), the first flow of a new
+analysis generation must take at most `first_flow_baseline_ratio` x
+`regression_factor` times that baseline, the edit-sweep must re-check
+exactly `rechecked_after_edit` components, and every payload must have
+matched the reference analyzer.
 """
 
 import json
@@ -28,6 +30,7 @@ import sys
 def check_query(results: dict, floors: dict) -> bool:
     """Gates bench_query output; returns True when something failed."""
     failed = False
+    factor = float(floors.get("regression_factor", 2.0))
     by_name = {p["name"]: p for p in results.get("programs", [])}
     for name, floor in floors.get("query", {}).get("programs", {}).items():
         prog = by_name.get(name)
@@ -43,6 +46,18 @@ def check_query(results: dict, floors: dict) -> bool:
             f"FlowGraph rebuild (floor {speedup_floor}x)"
         )
         failed = failed or speedup < speedup_floor
+        ratio = floor.get("first_flow_baseline_ratio")
+        if ratio is not None:
+            first = prog.get("first_flow_ms")
+            baseline = prog.get("baseline_flow_ms", 0.0)
+            limit = ratio * factor * baseline
+            over = first is None or first > limit
+            print(
+                f"{'FAIL' if over else 'OK'} query {name}: first flow of a "
+                f"generation {first} ms (at most {limit:.3f} ms: "
+                f"{ratio} x {factor} x FlowGraph rebuild {baseline:.3f} ms)"
+            )
+            failed = failed or over
         want = floor.get("rechecked_after_edit")
         if want is not None:
             got = prog.get("rechecked_after_edit")

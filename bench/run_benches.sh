@@ -162,8 +162,9 @@ after = json.load(open(query_path))
 doc = {
     "description": "Demand-driven flow & check queries (DESIGN.md 12): "
                    "per-request FlowGraph rebuild baseline vs the "
-                   "persistent FlowIndex (cold build, first-walk, and "
-                   "memoized warm flow latency) and the check-summary "
+                   "persistent FlowIndex (cold build, the first flow of "
+                   "a new analysis generation, first-walk, and memoized "
+                   "warm flow latency) and the check-summary "
                    "sweep cold vs after a one-component probe edit "
                    "(rechecked/reused counts; payloads verified against "
                    "a reference analyzer as they are timed; best of N "

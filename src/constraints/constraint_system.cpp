@@ -642,7 +642,13 @@ void ConstraintSystem::addBulk(const BulkConstraint *Recs, size_t N,
 std::vector<SetVar> ConstraintSystem::variables() const {
   std::vector<SetVar> Result;
   Result.reserve(Storage.size());
+  // Far-side variables that own no slot: the only ones the ascending slot
+  // scan does not already emit, and few (most far ends carry bounds too).
   std::vector<SetVar> Far;
+  auto noteFar = [&](SetVar V) {
+    if (slotOf(V) == NoSlot)
+      Far.push_back(V);
+  };
   for (SetVar A = 0; A < Slots.size(); ++A) {
     uint32_t Slot = Slots[A];
     if (Slot == NoSlot)
@@ -652,34 +658,19 @@ std::vector<SetVar> ConstraintSystem::variables() const {
     if (findConst(A) == A)
       for (const LowerBound &L : B.Lows)
         if (L.K == LowerBound::Kind::SelLB)
-          Far.push_back(L.Other);
+          noteFar(L.Other);
     for (const UpperBound &U : B.Ups)
-      Far.push_back(U.Other);
+      noteFar(U.Other);
   }
+  if (Far.empty())
+    return Result;
   std::sort(Far.begin(), Far.end());
   Far.erase(std::unique(Far.begin(), Far.end()), Far.end());
-
-  // Sorted merge of the slot owners and the far-side variables.
-  std::vector<SetVar> Merged;
-  Merged.reserve(Result.size() + Far.size());
-  std::merge(Result.begin(), Result.end(), Far.begin(), Far.end(),
-             std::back_inserter(Merged));
-  Merged.erase(std::unique(Merged.begin(), Merged.end()), Merged.end());
-  return Merged;
-}
-
-void ConstraintSystem::forEachBoundSorted(
-    const std::function<void(SetVar, const std::vector<LowerBound> &,
-                             const std::vector<UpperBound> &)> &Fn) const {
-  std::vector<LowerBound> Lows;
-  std::vector<UpperBound> Ups;
-  for (SetVar A : variables()) {
-    Lows = lowerBounds(A);
-    Ups = upperBounds(A);
-    std::sort(Lows.begin(), Lows.end(), lowerBoundLess);
-    std::sort(Ups.begin(), Ups.end(), upperBoundLess);
-    Fn(A, Lows, Ups);
-  }
+  // Disjoint from the slot owners, so the merge needs no dedup.
+  size_t Owners = Result.size();
+  Result.insert(Result.end(), Far.begin(), Far.end());
+  std::inplace_merge(Result.begin(), Result.begin() + Owners, Result.end());
+  return Result;
 }
 
 std::vector<Constant> ConstraintSystem::constantsOf(SetVar A) const {

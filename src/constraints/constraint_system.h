@@ -429,7 +429,9 @@ public:
   //===------------------------------------------------------------------===
 
   /// All variables this system mentions (has any bound for, or appearing
-  /// on the far side of a bound), sorted ascending.
+  /// on the far side of a bound), sorted ascending. Linear in the stored
+  /// bounds: the slot scan emits owners in order, and only far-side
+  /// variables that own no slot are sorted and merged in.
   std::vector<SetVar> variables() const;
 
   const std::vector<LowerBound> &lowerBounds(SetVar A) const {
@@ -451,18 +453,6 @@ public:
   /// The constants of α in the closed system: {c | S ⊢Θ c ≤ α}. This is
   /// const(LeastSoln(S)(α)) by Theorem 2.6.5.
   std::vector<Constant> constantsOf(SetVar A) const;
-
-  /// Canonical bound iteration: visits every variable the system mentions
-  /// in ascending order, presenting that variable's lower and upper
-  /// bounds sorted by the canonical keys (lowerBoundLess/upperBoundLess)
-  /// — the same presentation str() and the serializer use, so the visit
-  /// sequence is a pure function of the closed bound *set*, not of
-  /// discovery order. The vectors are scratch borrowed for the duration
-  /// of one callback. The demand-driven query layer builds its region
-  /// digests on top of this.
-  void forEachBoundSorted(
-      const std::function<void(SetVar, const std::vector<LowerBound> &,
-                               const std::vector<UpperBound> &)> &Fn) const;
 
   /// Total number of stored constraints, counting a collapsed cycle's
   /// shared lower bounds once per member (i.e. the size of the system a

@@ -13,42 +13,46 @@ void FlowIndex::clear() {
   Built = false;
 }
 
-void FlowIndex::buildCsr(Csr &Out, std::vector<std::pair<SetVar, SetVar>> &E,
-                         size_t NumVars) {
-  std::sort(E.begin(), E.end());
-  E.erase(std::unique(E.begin(), E.end()), E.end());
-  Out.Offsets.assign(NumVars + 1, 0);
-  for (const auto &[From, To] : E)
-    ++Out.Offsets[From + 1];
-  for (size_t I = 1; I <= NumVars; ++I)
-    Out.Offsets[I] += Out.Offsets[I - 1];
-  Out.Edges.resize(E.size());
-  // E is sorted by (From, To), so each row lands sorted ascending — the
-  // same presentation FlowGraph's sort+unique produces.
-  for (size_t I = 0; I < E.size(); ++I)
-    Out.Edges[I] = E[I].second;
-}
-
 void FlowIndex::build(const ConstraintSystem &S) {
   clear();
-  std::vector<std::pair<SetVar, SetVar>> Forward, Reverse;
-  SetVar MaxVar = 0;
-  for (SetVar A : S.variables()) {
-    MaxVar = std::max(MaxVar, A);
-    for (const UpperBound &U : S.upperBounds(A)) {
-      if (U.K != UpperBound::Kind::VarUB &&
-          U.K != UpperBound::Kind::FilterUB)
-        continue;
-      MaxVar = std::max(MaxVar, U.Other);
-      Forward.emplace_back(A, U.Other);
-      Reverse.emplace_back(U.Other, A);
-    }
+  std::vector<SetVar> Vars = S.variables();
+  // variables() includes every far end, so its last entry is the highest
+  // id any edge touches.
+  NumVars = Vars.empty() ? 0 : static_cast<size_t>(Vars.back()) + 1;
+
+  // Forward rows, filled in place as the variables ascend: each row is
+  // sorted and deduplicated where it lies (a VarUB and a FilterUB edge to
+  // the same sink are one ε-edge), and its length parks at Offsets[A + 1]
+  // until the prefix sum below turns lengths into offsets.
+  Fwd.Offsets.assign(NumVars + 1, 0);
+  for (SetVar A : Vars) {
+    size_t Begin = Fwd.Edges.size();
+    for (const UpperBound &U : S.upperBounds(A))
+      if (U.K == UpperBound::Kind::VarUB || U.K == UpperBound::Kind::FilterUB)
+        Fwd.Edges.push_back(U.Other);
+    auto Row = Fwd.Edges.begin() + Begin;
+    std::sort(Row, Fwd.Edges.end());
+    Fwd.Edges.erase(std::unique(Row, Fwd.Edges.end()), Fwd.Edges.end());
+    Fwd.Offsets[A + 1] = static_cast<uint32_t>(Fwd.Edges.size() - Begin);
   }
-  NumVars = Forward.empty() && S.variables().empty()
-                ? 0
-                : static_cast<size_t>(MaxVar) + 1;
-  buildCsr(Fwd, Forward, NumVars);
-  buildCsr(Rev, Reverse, NumVars);
+  for (size_t I = 1; I <= NumVars; ++I)
+    Fwd.Offsets[I] += Fwd.Offsets[I - 1];
+
+  // Reverse rows by a counting sort over the forward rows: Offsets[B]
+  // first counts B's parents, the prefix sum makes it the end of B's row,
+  // and scattering the sources in descending order decrements it back to
+  // the row's start. Each row thus comes out ascending, and duplicate-free
+  // because every forward (source, sink) pair is unique.
+  Rev.Offsets.assign(NumVars + 1, 0);
+  for (SetVar B : Fwd.Edges)
+    ++Rev.Offsets[B];
+  for (size_t I = 1; I < NumVars; ++I)
+    Rev.Offsets[I] += Rev.Offsets[I - 1];
+  Rev.Offsets[NumVars] = static_cast<uint32_t>(Fwd.Edges.size());
+  Rev.Edges.resize(Fwd.Edges.size());
+  for (size_t A = NumVars; A-- > 0;)
+    for (SetVar B : Fwd.row(static_cast<SetVar>(A)))
+      Rev.Edges[--Rev.Offsets[B]] = static_cast<SetVar>(A);
   Built = true;
 }
 

@@ -43,10 +43,13 @@ public:
     bool Complete = false; ///< false: the token cancelled mid-walk
   };
 
-  /// (Re)builds both CSR directions from the ε-edges of \p S. O(E log E);
-  /// the edge set matches FlowGraph's exactly (VarUB + FilterUB, dedup'd
-  /// per endpoint), so every count this index reports is identical to the
-  /// per-request browser's.
+  /// (Re)builds both CSR directions from the ε-edges of \p S, in place:
+  /// forward rows are filled as the variables ascend and each is sorted
+  /// and deduplicated where it lies (rows are short, so this is linear in
+  /// practice), and the reverse rows come from a counting sort over the
+  /// forward rows. The edge set matches FlowGraph's exactly (VarUB +
+  /// FilterUB, dedup'd per endpoint), so every count this index reports
+  /// is identical to the per-request browser's.
   void build(const ConstraintSystem &S);
 
   /// Drops the index (the owning session re-binds to a new generation).
@@ -87,9 +90,6 @@ private:
   };
 
   Reach reach(const Csr &Dir, SetVar A, CancelToken *Tok) const;
-
-  static void buildCsr(Csr &Out, std::vector<std::pair<SetVar, SetVar>> &E,
-                       size_t NumVars);
 
   Csr Fwd, Rev;
   size_t NumVars = 0;

@@ -7,27 +7,39 @@
 #include "debugger/checks.h"
 
 #include <algorithm>
+#include <cstring>
 
 using namespace spidey;
 
 namespace {
 
-constexpr uint64_t FnvOffset = 0xCBF29CE484222325ull;
-
-uint64_t fnv1a(uint64_t H, uint64_t X) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= (X >> (I * 8)) & 0xFF;
-    H *= 0x100000001B3ull;
-  }
-  return H;
+/// splitmix64's finalizer: a bijection on 64-bit words in which every
+/// input bit reaches every output bit.
+uint64_t finalize(uint64_t X) {
+  X ^= X >> 30;
+  X *= 0xBF58476D1CE4E5B9ull;
+  X ^= X >> 27;
+  X *= 0x94D049BB133111EBull;
+  return X ^ (X >> 31);
 }
 
-uint64_t fnv1aStr(uint64_t H, const std::string &S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001B3ull;
+/// Folds one 64-bit word into a running hash: one multiply and one
+/// xor-shift per word, and a bijection in either argument.
+uint64_t mix(uint64_t H, uint64_t X) {
+  H = (H ^ X) * 0x9E3779B97F4A7C15ull;
+  return H ^ (H >> 32);
+}
+
+uint64_t mixStr(uint64_t H, const std::string &S) {
+  size_t I = 0;
+  for (; I + 8 <= S.size(); I += 8) {
+    uint64_t W;
+    std::memcpy(&W, S.data() + I, 8);
+    H = mix(H, W);
   }
-  return fnv1a(H, S.size());
+  uint64_t Tail = 0;
+  std::memcpy(&Tail, S.data() + I, S.size() - I);
+  return mix(mix(H, Tail), S.size());
 }
 
 } // namespace
@@ -72,15 +84,8 @@ void QueryEngine::ensureNameIndex() {
   ++Stats.NameIndexBuilds;
 }
 
-SetVar QueryEngine::regionRoot(SetVar V) const {
-  while (V < RegionParent.size() && RegionParent[V] != V)
-    V = RegionParent[V];
-  return V;
-}
-
 uint64_t QueryEngine::regionDigest(SetVar V) const {
-  auto It = RootDigest.find(regionRoot(V));
-  return It == RootDigest.end() ? 0 : It->second;
+  return V < RootDigest.size() ? RootDigest[RegionParent[V]] : 0;
 }
 
 uint32_t QueryEngine::ordinalOf(SetVar V) const {
@@ -103,12 +108,18 @@ void QueryEngine::ensureRegions() {
   RegionParent.resize(N);
   for (size_t I = 0; I < N; ++I)
     RegionParent[I] = static_cast<SetVar>(I);
+  // Links only ever point to a lower id, and path halving keeps that.
+  auto find = [&](SetVar V) {
+    while (RegionParent[V] != V) {
+      RegionParent[V] = RegionParent[RegionParent[V]];
+      V = RegionParent[V];
+    }
+    return V;
+  };
   auto unite = [&](SetVar A, SetVar B) {
     if (A >= N || B >= N)
       return;
-    SetVar Ra = regionRoot(A), Rb = regionRoot(B);
-    if (Ra == Rb)
-      return;
+    SetVar Ra = find(A), Rb = find(B);
     if (Rb < Ra)
       std::swap(Ra, Rb);
     RegionParent[Rb] = Ra;
@@ -122,6 +133,11 @@ void QueryEngine::ensureRegions() {
       if (U.Other != NoSetVar)
         unite(A, U.Other);
   }
+  // Every link points down, so one ascending pass leaves each variable
+  // pointing straight at its root: a variable's parent is lower and has
+  // already been pointed at the root.
+  for (size_t I = 0; I < N; ++I)
+    RegionParent[I] = RegionParent[RegionParent[I]];
 
   // Region-local ordinals: each variable's rank within its region, in
   // ascending id order. The merge numbers every component's externals
@@ -129,61 +145,64 @@ void QueryEngine::ensureRegions() {
   // shifts all later ids by one; ordinals are invariant under that shift
   // (relative order within a region is preserved), which is what lets
   // digests — and the memo caches keyed on them — survive warm edits.
-  RegionOrdinal.assign(N, 0);
+  RegionOrdinal.resize(N);
   {
-    std::unordered_map<SetVar, uint32_t> Next;
+    std::vector<uint32_t> Next(N, 0); // per root: members seen so far
     for (size_t I = 0; I < N; ++I)
-      RegionOrdinal[I] = Next[regionRoot(static_cast<SetVar>(I))]++;
+      RegionOrdinal[I] = Next[RegionParent[I]]++;
   }
 
-  // Pass 2: fold each variable's canonically-sorted bounds into its
-  // region root's digest, in ascending variable order. Variables enter as
-  // region-local ordinals (endpoints of any bound always share a region —
-  // pass 1 united exactly those edges); constants and selectors enter by
-  // content — kind, arity, location, label and selector-name spellings —
-  // not by table index, so a renumbered-but-identical table entry can
-  // never alias a changed one.
-  RootDigest.clear();
+  // Pass 2: the digests. Constants and selectors enter by content — kind,
+  // arity, location, label and selector-name spellings — not by table
+  // index, so a renumbered-but-identical table entry can never alias a
+  // changed one; each is hashed once per generation.
   const ConstantTable &Consts = Ctx.Constants;
   const SelectorTable &Sels = Ctx.Selectors;
-  auto foldConst = [&](uint64_t H, Constant C) {
+  std::vector<uint64_t> ConstHash(Consts.size());
+  for (Constant C = 0; C < ConstHash.size(); ++C) {
     const ConstantInfo &Info = Consts.info(C);
-    H = fnv1a(H, static_cast<uint64_t>(Info.K));
-    H = fnv1a(H, Info.Arity);
-    H = fnv1a(H, (uint64_t(Info.Loc.File) << 40) |
-                     (uint64_t(Info.Loc.Line) << 16) | Info.Loc.Col);
+    uint64_t H = mix(static_cast<uint64_t>(Info.K), Info.Arity);
+    H = mix(H, (uint64_t(Info.Loc.File) << 40) |
+                   (uint64_t(Info.Loc.Line) << 16) | Info.Loc.Col);
     if (Info.Label != InvalidSymbol)
-      H = fnv1aStr(H, P->Syms.name(Info.Label));
-    return H;
-  };
-  auto foldSel = [&](uint64_t H, Selector Sel) {
-    H = fnv1aStr(H, Sels.name(Sel));
-    return fnv1a(H, static_cast<uint64_t>(Sels.polarity(Sel)));
-  };
-  S.forEachBoundSorted([&](SetVar A, const std::vector<LowerBound> &Lows,
-                           const std::vector<UpperBound> &Ups) {
-    uint64_t H = fnv1a(FnvOffset, ordinalOf(A));
-    for (const LowerBound &L : Lows) {
-      H = fnv1a(H, static_cast<uint64_t>(L.K));
-      if (L.K == LowerBound::Kind::ConstLB)
-        H = foldConst(H, L.C);
-      else
-        H = foldSel(H, L.Sel);
-      H = fnv1a(H, ordinalOf(L.Other));
+      H = mixStr(H, P->Syms.name(Info.Label));
+    ConstHash[C] = H;
+  }
+  std::vector<uint64_t> SelHash(Sels.size());
+  for (Selector Sel = 0; Sel < SelHash.size(); ++Sel)
+    SelHash[Sel] = mix(mixStr(0, Sels.name(Sel)),
+                       static_cast<uint64_t>(Sels.polarity(Sel)));
+
+  // A variable's hash is its ordinal plus a wrapping sum over its bounds,
+  // so the bound lists are read in place, in whatever order the engine
+  // discovered them. Each bound hash goes through the full finalizer
+  // first: a sum of weakly mixed terms could cancel, and a digest
+  // collision would reuse a stale verdict. Variables enter as
+  // region-local ordinals (endpoints of any bound always share a region —
+  // pass 1 united exactly those edges), and fold into their root's digest
+  // in ascending id order.
+  RootDigest.assign(N, 0);
+  for (SetVar A : Vars) {
+    if (A >= N)
+      continue;
+    uint64_t Sum = 0;
+    for (const LowerBound &L : S.lowerBounds(A)) {
+      uint64_t H = L.K == LowerBound::Kind::ConstLB
+                       ? mix(1, ConstHash[L.C])
+                       : mix(mix(2, SelHash[L.Sel]), ordinalOf(L.Other));
+      Sum += finalize(H);
     }
-    for (const UpperBound &U : Ups) {
-      H = fnv1a(H, 8 + static_cast<uint64_t>(U.K));
-      if (U.K == UpperBound::Kind::SelUB)
-        H = foldSel(H, U.Sel);
-      else
-        H = fnv1a(H, U.Sel); // VarUB: 0; FilterUB: a KindMask, stable raw
-      H = fnv1a(H, ordinalOf(U.Other));
+    for (const UpperBound &U : S.upperBounds(A)) {
+      // VarUB: Sel is 0; FilterUB: a KindMask, stable raw.
+      uint64_t Payload = U.K == UpperBound::Kind::SelUB ? SelHash[U.Sel]
+                                                         : U.Sel;
+      uint64_t H = mix(mix(8 + static_cast<uint64_t>(U.K), Payload),
+                       ordinalOf(U.Other));
+      Sum += finalize(H);
     }
-    uint64_t &Slot = RootDigest[regionRoot(A)];
-    if (!Slot)
-      Slot = FnvOffset;
-    Slot = fnv1a(Slot, H);
-  });
+    uint64_t &D = RootDigest[RegionParent[A]];
+    D = mix(mix(D, ordinalOf(A)), Sum);
+  }
   RegionsReady = true;
 }
 
@@ -199,11 +218,9 @@ uint64_t QueryEngine::regionKeyOf(uint32_t I) {
     Items.emplace_back(regionDigest(V), ordinalOf(V));
   std::sort(Items.begin(), Items.end());
   Items.erase(std::unique(Items.begin(), Items.end()), Items.end());
-  uint64_t H = FnvOffset;
-  for (const auto &[D, O] : Items) {
-    H = fnv1a(H, D);
-    H = fnv1a(H, O);
-  }
+  uint64_t H = 0;
+  for (const auto &[D, O] : Items)
+    H = mix(mix(H, D), O);
   return H;
 }
 

@@ -15,7 +15,10 @@
 ///    query is a pure function of the query variable's *region* (the
 ///    undirected connected component of the constraint graph containing
 ///    it), so each region gets a digest — a hash of every bound of every
-///    variable in it, in canonical order. Variables enter the digest as
+///    variable in it, each variable's bounds folded order-independently
+///    (a sum of per-bound hashes) and the variables folded in ascending
+///    id order, so it is a function of the closed bound set, not of the
+///    order the engine discovered bounds in. Variables enter the digest as
 ///    region-local ordinals (their rank within the region in ascending id
 ///    order), not raw ids: the merge numbers all external variables ahead
 ///    of the per-component public blocks, so an edit that adds one
@@ -133,7 +136,6 @@ private:
   void ensureNameIndex();
   void ensureRegions();
 
-  SetVar regionRoot(SetVar V) const;
   /// Digest of the region containing \p V (0 for unbounded variables).
   uint64_t regionDigest(SetVar V) const;
   /// \p V's rank within its region, in ascending variable order — the
@@ -157,9 +159,9 @@ private:
   bool IndexReady = false;
   std::unordered_map<Symbol, VarId> NameIndex;
   bool NameIndexReady = false;
-  std::vector<SetVar> RegionParent; ///< union-find over the bound graph
+  std::vector<SetVar> RegionParent;    ///< per var: its region's root
   std::vector<uint32_t> RegionOrdinal; ///< rank within region, per var
-  std::unordered_map<SetVar, uint64_t> RootDigest;
+  std::vector<uint64_t> RootDigest;    ///< per root: the region digest
   bool RegionsReady = false;
 
   // Cross-generation memo caches (the whole point of the engine).

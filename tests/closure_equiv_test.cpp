@@ -136,6 +136,36 @@ void feedReference(ReferenceClosure &R,
   R.close();
 }
 
+/// variables() by its definition: every variable with a bound, plus the
+/// far side of every SelLB lower bound and of every upper bound,
+/// ascending.
+std::vector<SetVar> variablesByDefinition(const ConstraintSystem &S) {
+  std::vector<SetVar> Out;
+  for (SetVar V = 0; V < S.context().numVars(); ++V) {
+    const std::vector<LowerBound> &Lows = S.lowerBounds(V);
+    const std::vector<UpperBound> &Ups = S.upperBounds(V);
+    if (!Lows.empty() || !Ups.empty())
+      Out.push_back(V);
+    for (const LowerBound &L : Lows)
+      if (L.K == LowerBound::Kind::SelLB)
+        Out.push_back(L.Other);
+    for (const UpperBound &U : Ups)
+      Out.push_back(U.Other);
+  }
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
+
+/// Asserts that \p S and its clone list exactly the variables the
+/// definition names.
+void expectVariablesAsDefined(const ConstraintSystem &S,
+                              const std::string &What) {
+  std::vector<SetVar> Want = variablesByDefinition(S);
+  EXPECT_EQ(S.variables(), Want) << What;
+  EXPECT_EQ(S.clone().variables(), Want) << What << " (clone)";
+}
+
 /// Asserts that engine and reference agree on constantsOf for every
 /// variable either side mentions.
 void expectSameSolution(const ConstraintSystem &S, const ReferenceClosure &R,
@@ -249,6 +279,60 @@ TEST(ClosureEquiv, CorpusProgramSystem) {
   R.absorb(*A.System);
   R.close();
   expectSameSolution(*A.System, R, "corpus program", Cfg.Seed);
+}
+
+//===----------------------------------------------------------------------===
+// variables() against its definition, on every corpus above and on the
+// clones of those systems.
+//===----------------------------------------------------------------------===
+
+TEST(ClosureEquiv, VariablesMatchesItsDefinition) {
+  for (unsigned Seed = 1; Seed <= 25; ++Seed)
+    for (bool Raw : {false, true}) {
+      ConstraintContext Ctx;
+      std::vector<RandomConstraint> Cs = randomConstraints(Ctx, Seed);
+      ConstraintSystem S(Ctx);
+      feedEngine(S, Cs, Raw);
+      expectVariablesAsDefined(S, std::string(Raw ? "offline" : "online") +
+                                      " seed " + std::to_string(Seed));
+    }
+  for (unsigned Seed = 1; Seed <= 8; ++Seed) {
+    FuzzGenConfig Cfg;
+    Cfg.Seed = Seed;
+    Parsed P = parseFiles(generateFuzzProgram(Cfg));
+    ASSERT_TRUE(P.Ok) << P.Diags.str();
+    Analysis A = analyzeProgram(*P.Prog);
+    expectVariablesAsDefined(*A.System,
+                             "fuzz program seed " + std::to_string(Seed));
+  }
+  GeneratorConfig Cfg;
+  Cfg.Seed = 7;
+  Cfg.NumComponents = 2;
+  Cfg.TargetLines = 80;
+  Parsed P = parseFiles(generateProgram(Cfg));
+  ASSERT_TRUE(P.Ok) << P.Diags.str();
+  Analysis A = analyzeProgram(*P.Prog);
+  expectVariablesAsDefined(*A.System, "corpus program");
+}
+
+TEST(ClosureEquiv, VariablesMergesFarSideVariablesWithoutBounds) {
+  // v1 and v5 carry no bound of their own: v1 is the far side of a SelLB
+  // lower bound, below two slot owners, and v5, the highest id
+  // mentioned, the far side of an upper bound past every slot. v4 is
+  // unmentioned.
+  ConstraintContext Ctx;
+  std::vector<SetVar> V;
+  for (int I = 0; I < 6; ++I)
+    V.push_back(Ctx.freshVar());
+  ConstraintSystem S(Ctx);
+  S.addVarUpper(V[0], V[5]);
+  S.addConstLower(V[2], Ctx.Constants.basic(ConstKind::Num));
+  S.addSelLower(V[2], Ctx.Car, V[1]);
+  S.addVarUpper(V[3], V[2]);
+  std::vector<SetVar> Want = {V[0], V[1], V[2], V[3], V[5]};
+  EXPECT_EQ(S.variables(), Want);
+  EXPECT_EQ(S.numTouchedVars(), 3u); // v0, v2, v3 own slots
+  expectVariablesAsDefined(S, "hand-built");
 }
 
 //===----------------------------------------------------------------------===

@@ -23,7 +23,12 @@ using namespace spidey::test;
 
 namespace {
 
-/// Asserts every count the index reports equals the browser's, for every
+std::vector<SetVar> listOf(FlowIndex::Neighbors N) {
+  return std::vector<SetVar>(N.begin(), N.end());
+}
+
+/// Asserts every neighbor list and count the index reports equals the
+/// browser's (whose lists are sorted and deduplicated), for every
 /// variable of the (closed) system — the equivalence the serve loop's
 /// sublinear path rests on.
 void expectIndexMatchesGraph(const ConstraintSystem &S) {
@@ -31,8 +36,8 @@ void expectIndexMatchesGraph(const ConstraintSystem &S) {
   FlowIndex FI;
   FI.build(S);
   for (SetVar V : S.variables()) {
-    EXPECT_EQ(FI.parents(V).size(), FG.parents(V).size()) << "var " << V;
-    EXPECT_EQ(FI.children(V).size(), FG.children(V).size()) << "var " << V;
+    EXPECT_EQ(listOf(FI.parents(V)), FG.parents(V)) << "var " << V;
+    EXPECT_EQ(listOf(FI.children(V)), FG.children(V)) << "var " << V;
     FlowIndex::Reach Anc = FI.ancestors(V, nullptr);
     FlowIndex::Reach Desc = FI.descendants(V, nullptr);
     EXPECT_TRUE(Anc.Complete);
@@ -52,6 +57,9 @@ TEST(FlowIndex, MatchesFlowGraphOnHandBuiltSystem) {
   Ctx.freshVar(); // isolated
   S.addConstLower(A, Ctx.Constants.basic(ConstKind::Num));
   S.addVarUpper(A, B);
+  // The same pair again as a filter edge: one ε-edge, counted once in
+  // both directions.
+  S.addFilterUpper(A, kindBit(ConstKind::Num), B);
   S.addVarUpper(A, C);
   S.addVarUpper(B, D);
   S.addFilterUpper(C, kindBit(ConstKind::Num), D);
@@ -61,6 +69,7 @@ TEST(FlowIndex, MatchesFlowGraphOnHandBuiltSystem) {
   FlowIndex FI;
   FI.build(S);
   EXPECT_EQ(FI.children(A).size(), 2u);
+  EXPECT_EQ(FI.parents(B).size(), 1u);
   EXPECT_EQ(FI.parents(D).size(), 2u);
   EXPECT_EQ(FI.descendants(A, nullptr).Count, 3u); // b, c, d — not a itself
   EXPECT_EQ(FI.ancestors(D, nullptr).Count, 3u);
@@ -278,6 +287,22 @@ TEST_F(QueryEngineTest, FlowMemoHitsAcrossGenerations) {
   EXPECT_TRUE(Warm.FromSummary);
   EXPECT_EQ(QE.stats().FlowMemoHits, HitsBefore + 1);
   EXPECT_EQ(Warm.Descendants, First.Descendants);
+}
+
+TEST_F(QueryEngineTest, ConstantOnlyEditInvalidatesTheFlowMemo) {
+  analyze();
+  QueryEngine::FlowAnswer Before = QE.flow("one");
+  ASSERT_EQ(Before.Kinds, std::vector<std::string>{"num"});
+  QE.checkSummary();
+  // The same bounds with another constant in them: the region digest has
+  // to move, or the memo would serve the old kinds.
+  Files[0].Text = "(define one \"one\")\n"
+                  "(define (add x y) (+ x y))\n";
+  analyze();
+  QueryEngine::FlowAnswer After = QE.flow("one");
+  EXPECT_FALSE(After.FromSummary);
+  EXPECT_EQ(After.Kinds, std::vector<std::string>{"str"});
+  EXPECT_EQ(QE.checkSummary().Summary, legacySweep().summary(*PR.Prog));
 }
 
 TEST_F(QueryEngineTest, VolatileGenerationNeverTouchesMemo) {
