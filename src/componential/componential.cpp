@@ -82,9 +82,10 @@ std::string spidey::componentStoreKey(std::string_view SourceHash,
   return Key;
 }
 
-/// One component's step-1 result. Derivation output lives in a private
-/// ConstraintContext (workers share no mutable state); merge() renumbers
-/// it into the analyzer's shared context.
+/// One component's step-1 result. A fresh derivation lives in a private
+/// ConstraintContext (workers share no mutable state) until merge()
+/// renumbers it into the analyzer's shared context. A constraint-file
+/// text is decoded here, on the worker, and merge() commits the image.
 struct ComponentialAnalyzer::ComponentWork {
   std::unique_ptr<ConstraintContext> Ctx;
   AnalysisMaps Maps;
@@ -92,8 +93,14 @@ struct ComponentialAnalyzer::ComponentWork {
   size_t RawConstraints = 0;
   ClosureStats Closure;  ///< derive + simplify solver counters
   DeriveStats Derive;    ///< schema/instantiation counters (fresh derives)
-  std::string FileText;  ///< serialized constraint file (save path)
-  std::string CacheText; ///< raw file text when the header validated
+  /// Length of the component's constraint-file text: the stored one on a
+  /// cache hit, else the fresh serialization (0 when none was written).
+  /// The text itself is freed on the worker once decoded or written.
+  size_t FileBytes = 0;
+  /// That text decoded (HasImage): every cache hit, and a fresh derive
+  /// under MergeViaFiles whose text decodes.
+  ConstraintImage Image;
+  bool HasImage = false;
   bool CacheHit = false;
   /// The run's token cancelled before this component finished deriving;
   /// the partial results above are discarded, never merged or cached.
@@ -103,44 +110,18 @@ struct ComponentialAnalyzer::ComponentWork {
 
 namespace {
 
-/// A constraint file's header, extracted without deserializing the body:
-/// source hash, options fingerprint, and the external names the file was
-/// simplified against. Workers use this to decide whether the file is
-/// reusable; the full parse happens on the combining thread.
-struct FilePeek {
-  bool Ok = false;
-  std::string Hash;
-  std::string Options;
-  std::vector<std::string> ExternalNames;
-};
-
-FilePeek peekFileHeader(const std::string &Text) {
-  std::istringstream In(Text);
-  FilePeek P;
-  std::string Magic, Key;
-  uint64_t Version = 0;
-  if (!(In >> Magic >> Version) || Magic != "spidey-constraint-file" ||
-      Version != 2)
-    return P;
-  if (!(In >> Key >> P.Hash) || Key != "hash")
-    return P;
-  if (!(In >> Key >> P.Options) || Key != "options")
-    return P;
-  uint64_t NumVars = 0, NumExternals = 0;
-  if (!(In >> Key >> NumVars) || Key != "vars")
-    return P;
-  if (!(In >> Key >> NumExternals) || Key != "externals")
-    return P;
-  for (uint64_t I = 0; I < NumExternals; ++I) {
-    std::string Name;
-    uint64_t Local;
-    if (!(In >> Name >> Local))
-      return P;
-    P.ExternalNames.push_back(std::move(Name));
-  }
-  std::sort(P.ExternalNames.begin(), P.ExternalNames.end());
-  P.Ok = true;
-  return P;
+/// True if the image's external keys are exactly \p Names (sorted and
+/// distinct, as externalNamesOf returns them).
+bool sameExternals(const ConstraintImage &Img,
+                   const std::vector<std::string> &Names) {
+  if (Img.Externals.size() != Names.size())
+    return false;
+  std::vector<std::string_view> Keys;
+  Keys.reserve(Names.size());
+  for (const auto &Ext : Img.Externals)
+    Keys.push_back(Ext.first);
+  std::sort(Keys.begin(), Keys.end());
+  return std::equal(Keys.begin(), Keys.end(), Names.begin());
 }
 
 /// Writes \p Text to \p FinalPath atomically: stream into a uniquely-named
@@ -193,6 +174,7 @@ ComponentialAnalyzer::ComponentialAnalyzer(const Program &P,
   // shared context and each job's private context agree on this prefix.
   SharedVarWatermark = Ctx->numVars();
   Stats.resize(P.Components.size());
+  SourceHashes.resize(P.Components.size());
 }
 
 ComponentialAnalyzer::~ComponentialAnalyzer() = default;
@@ -284,41 +266,35 @@ std::string ComponentialAnalyzer::cachePathFor(const Component &C) const {
   return Opts.CacheDir + "/" + componentCacheFileName(C.Name);
 }
 
-bool ComponentialAnalyzer::loadFromText(uint32_t CompIdx,
-                                        const std::string &Text,
-                                        ComponentRunStats &CS) {
-  ConstraintSystem Loaded(*Ctx);
-  LoadedConstraints Info;
-  std::string Error;
-  // The loader interns into the program's symbol table; Program is shared
-  // state of the analysis, so the const_cast is confined here.
-  SymbolTable &Syms = const_cast<Program &>(P).Syms;
+bool ComponentialAnalyzer::loadImage(const ComponentWork &W,
+                                     ComponentRunStats &CS) {
   if (faultAt("scf.parse"))
     return false; // injected: the file text fails to deserialize
-  if (!deserializeConstraints(Text, Syms, Loaded, Info, Error))
+  if (!W.HasImage)
     return false;
-  if (Info.SourceHash != hashSource(P.Components[CompIdx].SourceText))
-    return false;
-  if (Info.OptionsFingerprint != OptionsFP)
-    return false;
-
   // Re-link the file's external variables with this run's top-level
-  // variables (two ε-constraints identify them).
-  for (const auto &[Key, FileVar] : Info.Externals) {
-    Symbol Name = Syms.lookup(Key);
+  // variables (two ε-constraints identify them). Every name resolves
+  // before anything is committed, so a failed load leaves no trace.
+  std::vector<SetVar> Links;
+  Links.reserve(W.Image.Externals.size());
+  for (const auto &Ext : W.Image.Externals) {
+    Symbol Name = P.Syms.lookup(Ext.first);
     if (Name == InvalidSymbol)
       return false;
     VarId V = topLevelByName(Name);
     if (V == NoVar || Maps.VarVar[V] == NoSetVar)
       return false;
-    SetVar Global = Maps.VarVar[V];
-    Loaded.addVarUpperRaw(FileVar, Global);
-    Loaded.addVarUpperRaw(Global, FileVar);
+    Links.push_back(Maps.VarVar[V]);
   }
-  Combined->absorbRaw(Loaded);
+  // The commit interns constant labels into the program's symbol table;
+  // Program is shared state of the analysis, so the const_cast is
+  // confined here.
+  SymbolTable &Syms = const_cast<Program &>(P).Syms;
+  const size_t Before = Combined->size();
+  commitConstraintImage(W.Image, Syms, *Combined, Links);
   CS.ReusedFile = true;
-  CS.SimplifiedConstraints = Loaded.size();
-  CS.FileBytes = Text.size();
+  CS.SimplifiedConstraints = Combined->size() - Before;
+  CS.FileBytes = W.FileBytes;
   return true;
 }
 
@@ -327,6 +303,7 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
                                      bool AllowCache) const {
   ComponentWork W;
   const Component &C = P.Components[CompIdx];
+  const std::string &Hash = SourceHashes[CompIdx];
   const bool CacheConfigured = Opts.MemStore || !Opts.CacheDir.empty();
 
   if (Opts.Cancel && Opts.Cancel->cancelled()) {
@@ -339,8 +316,7 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
     // directory); the in-memory store is content-addressed so concurrent
     // sessions over different programs share identical library images.
     const std::string DiskKey = componentCacheFileName(C.Name);
-    const std::string MemKey =
-        componentStoreKey(hashSource(C.SourceText), OptionsFP, CompIdx);
+    const std::string MemKey = componentStoreKey(Hash, OptionsFP, CompIdx);
     std::optional<std::string> Text;
     bool FromDisk = false;
     if (Opts.MemStore)
@@ -364,25 +340,30 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
       // stops referencing one of this component's definitions, this
       // component's external set changes and its old file — which may
       // have simplified the newly-needed definition away — is rejected.
-      FilePeek Peek = peekFileHeader(*Text);
-      if (!Peek.Ok)
+      // Only a file that passes all three has its body decoded.
+      ConstraintImage Img;
+      std::string Error;
+      if (!decodeConstraintHeader(*Text, Img, Error))
         W.Outcome = CacheOutcome::MissCorrupt;
-      else if (Peek.Hash != hashSource(C.SourceText))
+      else if (Img.SourceHash != Hash)
         W.Outcome = CacheOutcome::MissStaleHash;
-      else if (Peek.Options != OptionsFP)
+      else if (Img.OptionsFingerprint != OptionsFP)
         W.Outcome = CacheOutcome::MissOptions;
-      else if (Peek.ExternalNames != externalNamesOf(CompIdx))
+      else if (!sameExternals(Img, externalNamesOf(CompIdx)))
         W.Outcome = CacheOutcome::MissExternals;
+      else if (!decodeConstraintBody(*Text, Img, Error))
+        W.Outcome = CacheOutcome::MissCorrupt;
       else {
         W.Outcome = CacheOutcome::Hit;
-        W.CacheHit = true;
-        W.CacheText = std::move(*Text);
+        W.CacheHit = W.HasImage = true;
+        W.Image = std::move(Img);
+        W.FileBytes = Text->size();
         // Crash recovery: a hit served from the disk cache refills the
         // in-memory store, so a daemon whose resident store was wiped
         // (restart, eviction, injected fault) warms back up from
         // --cache-dir instead of re-deriving the world.
         if (FromDisk && Opts.MemStore)
-          Opts.MemStore->store(MemKey, W.CacheText);
+          Opts.MemStore->store(MemKey, *Text);
         return W;
       }
     }
@@ -439,14 +420,17 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
       if (SeenVars.insert(SV).second)
         Externals.emplace_back(P.Syms.name(P.var(V).Name), SV);
     }
-    W.FileText = serializeConstraints(*W.Simplified, Externals, P.Syms,
-                                      hashSource(C.SourceText), OptionsFP);
+    const std::string FileText = serializeConstraints(
+        *W.Simplified, Externals, P.Syms, Hash, OptionsFP);
+    W.FileBytes = FileText.size();
     if (!Opts.CacheDir.empty())
-      writeFileAtomically(cachePathFor(C), W.FileText);
+      writeFileAtomically(cachePathFor(C), FileText);
     if (Opts.MemStore)
-      Opts.MemStore->store(
-          componentStoreKey(hashSource(C.SourceText), OptionsFP, CompIdx),
-          W.FileText);
+      Opts.MemStore->store(componentStoreKey(Hash, OptionsFP, CompIdx),
+                           FileText);
+    std::string Error;
+    W.HasImage = Opts.MergeViaFiles &&
+                 decodeConstraintFile(FileText, W.Image, Error);
   }
   return W;
 }
@@ -460,10 +444,10 @@ void ComponentialAnalyzer::merge(uint32_t CompIdx, ComponentWork &W) {
     return;
   }
   if (W.CacheHit) {
-    if (loadFromText(CompIdx, W.CacheText, CS))
+    if (loadImage(W, CS))
       return;
-    // Matching header but unusable body (corrupt file, unknown external):
-    // fall back to a fresh derivation, skipping the cache.
+    // An injected parse fault or an external that names no top-level
+    // variable: fall back to a fresh derivation, skipping the cache.
     W = deriveIsolated(CompIdx, /*AllowCache=*/false);
     CS.Cache = W.Outcome;
     if (W.TimedOut) {
@@ -477,14 +461,12 @@ void ComponentialAnalyzer::merge(uint32_t CompIdx, ComponentWork &W) {
   // (zeros for a component served from the cache — nothing was derived).
   Info.Derive.merge(W.Derive);
 
-  if (Opts.MergeViaFiles && !W.FileText.empty() &&
-      loadFromText(CompIdx, W.FileText, CS)) {
+  if (Opts.MergeViaFiles && W.FileBytes && loadImage(W, CS)) {
     // Merged through the component's own serialized text, exactly as a
     // later cache hit would be — the combined system stays a pure
     // function of the per-component file texts.
     CS.ReusedFile = false;
     CS.RawConstraints = W.RawConstraints;
-    CS.FileBytes = W.FileText.size();
     Info.Closure.merge(W.Closure);
     MaxConstraints = std::max(MaxConstraints, W.RawConstraints);
     return;
@@ -573,7 +555,7 @@ void ComponentialAnalyzer::merge(uint32_t CompIdx, ComponentWork &W) {
   Info.Closure.merge(W.Closure);
   CS.RawConstraints = W.RawConstraints;
   CS.SimplifiedConstraints = W.Simplified->size();
-  CS.FileBytes = W.FileText.size();
+  CS.FileBytes = W.FileBytes;
   MaxConstraints = std::max(MaxConstraints, W.RawConstraints);
 }
 
@@ -611,13 +593,15 @@ void ComponentialAnalyzer::run() {
   // Step 1, fanned out: every component derives into a private context.
   auto DeriveStart = Clock::now();
   std::vector<ComponentWork> Work(NumComponents);
+  auto Step1 = [&](uint32_t I) {
+    SourceHashes[I] = hashSource(P.Components[I].SourceText);
+    Work[I] = deriveIsolated(I, /*AllowCache=*/true);
+  };
   if (!Pool || Step1Threads <= 1 || NumComponents <= 1) {
     for (uint32_t I = 0; I < NumComponents; ++I)
-      Work[I] = deriveIsolated(I, /*AllowCache=*/true);
+      Step1(I);
   } else {
-    parallelFor(*Pool, NumComponents, [&](uint32_t I) {
-      Work[I] = deriveIsolated(I, /*AllowCache=*/true);
-    });
+    parallelFor(*Pool, NumComponents, Step1);
   }
   Info.DeriveMs = MsSince(DeriveStart);
 

@@ -22,7 +22,10 @@
 /// private system's variables, constants, and selectors into the shared
 /// context in component order. The renumbering is a pure function of the
 /// program, so the combined system is bit-identical for every thread
-/// count.
+/// count. A cache hit, and under MergeViaFiles every component, arrives
+/// instead as a constraint file the worker already decoded; step 2
+/// commits it straight into the combined system, its variables one block
+/// in component order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -208,6 +211,13 @@ public:
   /// layer keys its memoized per-component verdicts on it.
   const std::string &optionsFingerprint() const { return OptionsFP; }
 
+  /// hashSource of a component's text, computed once per run by its
+  /// step-1 job (valid after run()). The store key, the cache reuse check
+  /// and the query layer's verdict memo all read this one value.
+  const std::string &sourceHash(uint32_t CompIdx) const {
+    return SourceHashes[CompIdx];
+  }
+
   /// The largest constraint system materialized during the run (the
   /// "maximum size" column of fig. 7.1).
   size_t maxConstraints() const { return MaxConstraints; }
@@ -222,7 +232,9 @@ public:
 
 private:
   /// Everything one component's step-1 job produces. Derivation results
-  /// live in the job's private context until merge() renumbers them.
+  /// live in the job's private context until merge() renumbers them; a
+  /// constraint-file text (a cache hit's, or under MergeViaFiles the fresh
+  /// serialization) arrives decoded, ready to commit.
   struct ComponentWork;
 
   void computeCrossReferences();
@@ -237,20 +249,24 @@ private:
   std::vector<std::string> externalNamesOf(uint32_t CompIdx) const;
 
   /// Step-1 worker body: derive+close+simplify+serialize component
-  /// \p CompIdx into a private context (or detect a reusable constraint
-  /// file). Reads only shared-immutable state; runs on any thread.
+  /// \p CompIdx into a private context, or find a reusable constraint
+  /// file: decode its header, check it (DESIGN.md §8), and only then
+  /// decode its body. Reads only shared-immutable state and the job's own
+  /// SourceHashes entry; runs on any thread.
   ComponentWork deriveIsolated(uint32_t CompIdx, bool AllowCache) const;
 
   /// Sequential combine of one component's work, in component order:
-  /// renumbers private vars/constants/selectors into the shared context
-  /// and absorbs the simplified system into Combined.
+  /// commits its decoded image, or renumbers private vars/constants/
+  /// selectors into the shared context and absorbs the simplified system
+  /// into Combined.
   void merge(uint32_t CompIdx, ComponentWork &W);
 
-  /// Deserializes a constraint-file text into the shared context,
-  /// re-links its externals with this run's top-level variables, and
-  /// absorbs it into Combined; returns false if unusable.
-  bool loadFromText(uint32_t CompIdx, const std::string &Text,
-                    ComponentRunStats &CS);
+  /// Commits W's decoded image straight into Combined, re-linking its
+  /// externals with this run's top-level variables. Returns false, with
+  /// Combined, the shared context and the symbol table untouched, on an
+  /// injected parse fault (`scf.parse`), a text that did not decode, or
+  /// an external that names no top-level variable.
+  bool loadImage(const ComponentWork &W, ComponentRunStats &CS);
 
   /// Lazily built Name -> VarId index over top-level defines (first
   /// definition wins, matching lookup order).
@@ -264,6 +280,7 @@ private:
   AnalysisMaps Maps;
   std::unique_ptr<Deriver> D;
   std::vector<ComponentRunStats> Stats;
+  std::vector<std::string> SourceHashes; ///< per component; see sourceHash
   ComponentialRunInfo Info;
   size_t MaxConstraints = 0;
   /// Shared set-variable prefix: the top-level variables every context

@@ -3,10 +3,10 @@
 #include "constraints/serialize.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cassert>
+#include <charconv>
 #include <sstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace spidey;
 
@@ -132,29 +132,53 @@ std::string spidey::serializeConstraints(
 
 namespace {
 
-/// Minimal whitespace-token scanner over the file text.
-class TokenStream {
+/// Whitespace-separated tokens of a constraint file, scanned in place.
+/// Whitespace is the C locale's set, as `istream >> std::string` splits.
+class Scanner {
 public:
-  explicit TokenStream(std::string_view Text) : In(std::string(Text)) {}
+  Scanner(std::string_view Text, size_t Pos) : Text(Text), Pos(Pos) {}
 
-  bool word(std::string &Out) { return static_cast<bool>(In >> Out); }
+  bool word(std::string_view &Out) {
+    skipSpace();
+    size_t Start = Pos;
+    while (Pos < Text.size() && !isSpace(Text[Pos]))
+      ++Pos;
+    Out = Text.substr(Start, Pos - Start);
+    return Pos > Start;
+  }
 
-  bool number(uint64_t &Out) {
-    std::string W;
-    if (!word(W))
+  /// A whole token of decimal digits that fits \p Out: no sign, no
+  /// overflow.
+  template <typename T> bool number(T &Out) {
+    skipSpace();
+    const char *First = Text.data() + Pos, *Last = Text.data() + Text.size();
+    auto [End, Ec] = std::from_chars(First, Last, Out);
+    if (Ec != std::errc() || (End != Last && !isSpace(*End)))
       return false;
-    char *End = nullptr;
-    Out = std::strtoull(W.c_str(), &End, 10);
-    return End && *End == '\0';
+    Pos = End - Text.data();
+    return true;
   }
 
-  bool expect(const char *Expected) {
-    std::string W;
-    return word(W) && W == Expected;
+  /// A count, which can be no larger than the text holding it.
+  bool count(uint64_t &Out) { return number(Out) && Out <= Text.size(); }
+
+  bool expect(std::string_view Keyword) {
+    std::string_view W;
+    return word(W) && W == Keyword;
   }
+
+  size_t pos() const { return Pos; }
 
 private:
-  std::istringstream In;
+  static bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+  void skipSpace() {
+    while (Pos < Text.size() && isSpace(Text[Pos]))
+      ++Pos;
+  }
+
+  std::string_view Text;
+  size_t Pos;
 };
 
 bool allDigits(std::string_view S) {
@@ -173,7 +197,7 @@ bool allDigits(std::string_view S) {
 /// hostile file and must be rejected — interning it would poison the
 /// shared selector table (SelectorTable::intern asserts polarity
 /// consistency).
-bool selectorFamily(const std::string &Name, Polarity &P, KindMask &Owners) {
+bool selectorFamily(std::string_view V, Polarity &P, KindMask &Owners) {
   constexpr KindMask FnKinds =
       kindBit(ConstKind::FnTag) | kindBit(ConstKind::ContTag);
   struct Fixed {
@@ -194,12 +218,11 @@ bool selectorFamily(const std::string &Name, Polarity &P, KindMask &Owners) {
       {"cl-obj", Polarity::Monotone, kindBit(ConstKind::ClassTag)},
   };
   for (const Fixed &F : Table)
-    if (Name == F.Name) {
+    if (V == F.Name) {
       P = F.P;
       Owners = F.Owners;
       return true;
     }
-  std::string_view V(Name);
   if (V.substr(0, 3) == "dom" && allDigits(V.substr(3))) {
     P = Polarity::AntiMonotone;
     Owners = FnKinds;
@@ -220,135 +243,214 @@ bool selectorFamily(const std::string &Name, Polarity &P, KindMask &Owners) {
 
 } // namespace
 
-bool spidey::deserializeConstraints(std::string_view Text, SymbolTable &Syms,
-                                    ConstraintSystem &Out,
-                                    LoadedConstraints &Info,
+bool spidey::decodeConstraintHeader(std::string_view Text,
+                                    ConstraintImage &Img,
                                     std::string &Error) {
-  ConstraintContext &Ctx = Out.context();
-  TokenStream TS(Text);
+  Scanner S(Text, 0);
   auto Fail = [&](const char *Message) {
     Error = Message;
     return false;
   };
-
-  if (!TS.expect("spidey-constraint-file"))
-    return Fail("bad magic");
+  std::string_view W;
   uint64_t Version;
-  if (!TS.number(Version) || Version != 2)
+  if (!S.expect("spidey-constraint-file"))
+    return Fail("bad magic");
+  if (!S.number(Version) || Version != 2)
     return Fail("unsupported version");
-  if (!TS.expect("hash"))
+  if (!S.expect("hash"))
     return Fail("missing hash");
-  if (!TS.word(Info.SourceHash))
+  if (!S.word(W))
     return Fail("missing hash value");
-  if (!TS.expect("options"))
+  Img.SourceHash = W;
+  if (!S.expect("options"))
     return Fail("missing options fingerprint");
-  if (!TS.word(Info.OptionsFingerprint))
+  if (!S.word(W))
     return Fail("missing options fingerprint value");
-  if (Info.OptionsFingerprint == "-")
-    Info.OptionsFingerprint.clear();
+  Img.OptionsFingerprint = W == "-" ? std::string_view() : W;
 
-  uint64_t NumVars;
-  if (!TS.expect("vars") || !TS.number(NumVars))
+  uint64_t NumVars, NumExternals;
+  if (!S.expect("vars") || !S.count(NumVars))
     return Fail("missing vars");
-  std::vector<SetVar> VarMap(NumVars);
-  for (uint64_t I = 0; I < NumVars; ++I)
-    VarMap[I] = Ctx.freshVar();
-
-  uint64_t NumExternals;
-  if (!TS.expect("externals") || !TS.number(NumExternals))
+  Img.NumVars = static_cast<uint32_t>(NumVars);
+  if (Img.NumVars != NumVars)
+    return Fail("missing vars");
+  if (!S.expect("externals") || !S.count(NumExternals))
     return Fail("missing externals");
-  std::unordered_set<std::string> SeenExternals;
+  Img.Externals.clear();
   for (uint64_t I = 0; I < NumExternals; ++I) {
-    std::string Key;
-    uint64_t Local;
-    if (!TS.word(Key) || !TS.number(Local) || Local >= NumVars)
+    uint32_t Local;
+    if (!S.word(W) || !S.number(Local) || Local >= NumVars)
       return Fail("malformed external");
-    if (!SeenExternals.insert(Key).second)
-      return Fail("duplicate external");
-    Info.Externals.emplace_back(Key, VarMap[Local]);
+    Img.Externals.emplace_back(W, Local);
   }
+  std::vector<std::string_view> Keys;
+  Keys.reserve(Img.Externals.size());
+  for (const auto &Ext : Img.Externals)
+    Keys.push_back(Ext.first);
+  std::sort(Keys.begin(), Keys.end());
+  if (std::adjacent_find(Keys.begin(), Keys.end()) != Keys.end())
+    return Fail("duplicate external");
+  Img.BodyOffset = S.pos();
+  return true;
+}
+
+bool spidey::decodeConstraintBody(std::string_view Text,
+                                  ConstraintImage &Img, std::string &Error) {
+  using Op = ConstraintImage::Record::Op;
+  Scanner S(Text, Img.BodyOffset);
+  auto Fail = [&](const char *Message) {
+    Error = Message;
+    return false;
+  };
+  std::string_view W;
 
   uint64_t NumSelectors;
-  if (!TS.expect("selectors") || !TS.number(NumSelectors))
+  if (!S.expect("selectors") || !S.count(NumSelectors))
     return Fail("missing selectors");
-  std::vector<Selector> SelMap(NumSelectors);
+  Img.Selectors.clear();
   for (uint64_t I = 0; I < NumSelectors; ++I) {
-    std::string Name, Pol;
-    if (!TS.word(Name) || !TS.word(Pol) || (Pol != "+" && Pol != "-"))
+    std::string_view Name, Pol;
+    if (!S.word(Name) || !S.word(Pol) || (Pol != "+" && Pol != "-"))
       return Fail("malformed selector");
-    Polarity Declared =
-        Pol == "+" ? Polarity::Monotone : Polarity::AntiMonotone;
-    Polarity FamilyP;
-    KindMask Owners;
-    if (!selectorFamily(Name, FamilyP, Owners))
+    ConstraintImage::SelectorEntry &E = Img.Selectors.emplace_back();
+    if (!selectorFamily(Name, E.P, E.Owners))
       return Fail("unknown selector name");
-    if (FamilyP != Declared)
+    if (E.P != (Pol == "+" ? Polarity::Monotone : Polarity::AntiMonotone))
       return Fail("selector polarity mismatch");
-    SelMap[I] = Ctx.Selectors.intern(Name, FamilyP, Owners);
+    E.Name = Name;
   }
 
   uint64_t NumConstants;
-  if (!TS.expect("constants") || !TS.number(NumConstants))
+  if (!S.expect("constants") || !S.count(NumConstants))
     return Fail("missing constants");
-  std::vector<Constant> ConstMap(NumConstants);
+  Img.Constants.clear();
   for (uint64_t I = 0; I < NumConstants; ++I) {
-    uint64_t Kind, Arity, File, Line, Col;
-    std::string Label;
-    if (!TS.number(Kind) || !TS.number(Arity) || !TS.number(File) ||
-        !TS.number(Line) || !TS.number(Col) || !TS.word(Label))
+    uint32_t Kind;
+    ConstraintImage::ConstantEntry &E = Img.Constants.emplace_back();
+    if (!S.number(Kind) || !S.number(E.Arity) || !S.number(E.Loc.File) ||
+        !S.number(E.Loc.Line) || !S.number(E.Loc.Col) || !S.word(W))
       return Fail("malformed constant");
-    if (Kind >= static_cast<uint64_t>(ConstKind::NumConstKinds))
+    if (Kind >= static_cast<uint32_t>(ConstKind::NumConstKinds))
       return Fail("bad constant kind");
-    ConstKind K = static_cast<ConstKind>(Kind);
-    if (K <= ConstKind::VecTag) {
-      ConstMap[I] = Ctx.Constants.basic(K);
-    } else {
-      SourceLoc Loc{static_cast<uint32_t>(File), static_cast<uint32_t>(Line),
-                    static_cast<uint32_t>(Col)};
-      Symbol LabelSym =
-          Label == "-" ? InvalidSymbol : Syms.intern(Label);
-      ConstMap[I] = Ctx.Constants.makeTag(K, static_cast<uint32_t>(Arity),
-                                          Loc, LabelSym);
-    }
+    E.K = static_cast<ConstKind>(Kind);
+    if (W != "-")
+      E.Label = W;
   }
 
   uint64_t NumConstraints;
-  if (!TS.expect("constraints") || !TS.number(NumConstraints))
+  if (!S.expect("constraints") || !S.count(NumConstraints))
     return Fail("missing constraints");
+  const uint64_t NumVars = Img.NumVars;
+  Img.Records.clear();
+  // A record takes at least 7 bytes ("\nvu 0 1"), so the reservation
+  // follows the text actually there, whatever the count claims.
+  Img.Records.reserve(std::min<uint64_t>(NumConstraints,
+                                         (Text.size() - S.pos()) / 7));
   for (uint64_t I = 0; I < NumConstraints; ++I) {
-    std::string Op;
-    if (!TS.word(Op))
+    if (!S.word(W))
       return Fail("truncated constraints");
-    uint64_t A, B, Sel;
-    if (Op == "cl") {
-      if (!TS.number(A) || !TS.number(B) || A >= NumVars ||
-          B >= NumConstants)
+    ConstraintImage::Record R;
+    if (W == "cl") {
+      R.K = Op::ConstLow;
+      if (!S.number(R.A) || !S.number(R.X) || R.A >= NumVars ||
+          R.X >= NumConstants)
         return Fail("malformed cl");
-      Out.addConstLowerRaw(VarMap[A], ConstMap[B]);
-    } else if (Op == "sl") {
-      if (!TS.number(A) || !TS.number(Sel) || !TS.number(B) || A >= NumVars ||
-          B >= NumVars || Sel >= NumSelectors)
+    } else if (W == "sl") {
+      R.K = Op::SelLow;
+      if (!S.number(R.A) || !S.number(R.X) || !S.number(R.B) ||
+          R.A >= NumVars || R.B >= NumVars || R.X >= NumSelectors)
         return Fail("malformed sl");
-      Out.addSelLowerRaw(VarMap[A], SelMap[Sel], VarMap[B]);
-    } else if (Op == "vu") {
-      if (!TS.number(A) || !TS.number(B) || A >= NumVars || B >= NumVars)
+    } else if (W == "vu") {
+      R.K = Op::VarUp;
+      if (!S.number(R.A) || !S.number(R.B) || R.A >= NumVars ||
+          R.B >= NumVars)
         return Fail("malformed vu");
-      Out.addVarUpperRaw(VarMap[A], VarMap[B]);
-    } else if (Op == "fu") {
-      uint64_t Mask;
-      if (!TS.number(A) || !TS.number(Mask) || !TS.number(B) ||
-          A >= NumVars || B >= NumVars)
+    } else if (W == "fu") {
+      R.K = Op::FilterUp;
+      if (!S.number(R.A) || !S.number(R.X) || !S.number(R.B) ||
+          R.A >= NumVars || R.B >= NumVars)
         return Fail("malformed fu");
-      Out.addFilterUpperRaw(VarMap[A], static_cast<KindMask>(Mask),
-                            VarMap[B]);
-    } else if (Op == "su") {
-      if (!TS.number(A) || !TS.number(Sel) || !TS.number(B) || A >= NumVars ||
-          B >= NumVars || Sel >= NumSelectors)
+    } else if (W == "su") {
+      R.K = Op::SelUp;
+      if (!S.number(R.A) || !S.number(R.X) || !S.number(R.B) ||
+          R.A >= NumVars || R.B >= NumVars || R.X >= NumSelectors)
         return Fail("malformed su");
-      Out.addSelUpperRaw(VarMap[A], SelMap[Sel], VarMap[B]);
     } else {
       return Fail("unknown constraint op");
     }
+    Img.Records.push_back(R);
   }
+  return true;
+}
+
+bool spidey::decodeConstraintFile(std::string_view Text,
+                                  ConstraintImage &Img, std::string &Error) {
+  return decodeConstraintHeader(Text, Img, Error) &&
+         decodeConstraintBody(Text, Img, Error);
+}
+
+SetVar spidey::commitConstraintImage(const ConstraintImage &Img,
+                                     SymbolTable &Syms, ConstraintSystem &Out,
+                                     const std::vector<SetVar> &Links) {
+  using Op = ConstraintImage::Record::Op;
+  assert((Links.empty() || Links.size() == Img.Externals.size()) &&
+         "one link per external");
+  ConstraintContext &Ctx = Out.context();
+  const SetVar Base = Ctx.freshVarRange(Img.NumVars);
+  std::vector<Selector> SelMap;
+  SelMap.reserve(Img.Selectors.size());
+  for (const ConstraintImage::SelectorEntry &E : Img.Selectors)
+    SelMap.push_back(Ctx.Selectors.intern(E.Name, E.P, E.Owners));
+  std::vector<Constant> ConstMap;
+  ConstMap.reserve(Img.Constants.size());
+  for (const ConstraintImage::ConstantEntry &E : Img.Constants) {
+    if (E.K <= ConstKind::VecTag) {
+      ConstMap.push_back(Ctx.Constants.basic(E.K));
+      continue;
+    }
+    Symbol Label = E.Label.empty() ? InvalidSymbol : Syms.intern(E.Label);
+    ConstMap.push_back(Ctx.Constants.makeTag(E.K, E.Arity, E.Loc, Label));
+  }
+
+  for (const ConstraintImage::Record &R : Img.Records) {
+    const SetVar A = Base + R.A, B = Base + R.B;
+    switch (R.K) {
+    case Op::ConstLow:
+      Out.addConstLowerRaw(A, ConstMap[R.X]);
+      break;
+    case Op::SelLow:
+      Out.addSelLowerRaw(A, SelMap[R.X], B);
+      break;
+    case Op::VarUp:
+      Out.addVarUpperRaw(A, B);
+      break;
+    case Op::FilterUp:
+      Out.addFilterUpperRaw(A, static_cast<KindMask>(R.X), B);
+      break;
+    case Op::SelUp:
+      Out.addSelUpperRaw(A, SelMap[R.X], B);
+      break;
+    }
+  }
+  for (size_t I = 0; I < Links.size(); ++I) {
+    const SetVar V = Base + Img.Externals[I].second;
+    Out.addVarUpperRaw(V, Links[I]);
+    Out.addVarUpperRaw(Links[I], V);
+  }
+  return Base;
+}
+
+bool spidey::deserializeConstraints(std::string_view Text, SymbolTable &Syms,
+                                    ConstraintSystem &Out,
+                                    LoadedConstraints &Info,
+                                    std::string &Error) {
+  ConstraintImage Img;
+  if (!decodeConstraintFile(Text, Img, Error))
+    return false;
+  SetVar Base = commitConstraintImage(Img, Syms, Out);
+  Info.SourceHash = std::move(Img.SourceHash);
+  Info.OptionsFingerprint = std::move(Img.OptionsFingerprint);
+  for (auto &[Key, Local] : Img.Externals)
+    Info.Externals.emplace_back(std::move(Key), Base + Local);
   return true;
 }

@@ -3,7 +3,6 @@
 #include "query/query_engine.h"
 
 #include "constraints/const_kind.h"
-#include "constraints/serialize.h"
 #include "debugger/checks.h"
 
 #include <algorithm>
@@ -307,7 +306,7 @@ QueryEngine::SummaryAnswer QueryEngine::checkSummary() {
     uint64_t RKey = 0;
     if (UseCache) {
       Key = std::to_string(I) + ":" + C.Name;
-      SrcHash = hashSource(C.SourceText);
+      SrcHash = CA->sourceHash(I);
       RKey = regionKeyOf(I);
       auto It = Verdicts.find(Key);
       if (It != Verdicts.end() && It->second.SourceHash == SrcHash &&

@@ -57,6 +57,16 @@ const std::vector<SourceFile> TwoFiles = {
     {"main.ss", "(define go ((twice inc) 1))"},
 };
 
+std::string readText(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeText(const std::string &Path, const std::string &Text) {
+  std::ofstream(Path, std::ios::binary | std::ios::trunc) << Text;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -204,6 +214,99 @@ TEST(Cache, TornFileIsRederivedAndRepaired) {
   ComponentialAnalyzer CA2(*R2.Prog, Opts);
   CA2.run();
   EXPECT_EQ(CA2.componentStats()[0].Cache, CacheOutcome::Hit);
+}
+
+TEST(Cache, CorruptBodyRederivesToColdBytes) {
+  // A cached file whose header passes every reuse check but whose body
+  // does not decode must leave no trace in the shared context: the
+  // re-derived component merges exactly as in a cold run, so the warm
+  // combined system keeps the cold bytes (flow variable ids included).
+  const std::vector<SourceFile> Files = {
+      {"lib.ss", "(define (first p) (car p))(define alias first)"
+                 "(define (pick x) (if (pair? x) (car x) x))"},
+      {"main.ss", "(define r (alias (cons 1 2)))(define q (first (cons 3 4)))"
+                  "(define s (pick 5))"},
+  };
+  ComponentialOptions Opts;
+  Opts.MergeViaFiles = true;
+  std::string Cold;
+  {
+    Parsed R = parseFiles(Files);
+    ASSERT_TRUE(R.Ok) << R.Diags.str();
+    ComponentialAnalyzer CA(*R.Prog, Opts);
+    CA.run();
+    Cold = CA.combined().str();
+  }
+
+  const std::vector<std::pair<const char *, std::string (*)(std::string)>>
+      Corruptions = {
+          {"truncated to 3/4",
+           [](std::string T) { return T.substr(0, T.size() * 3 / 4); }},
+          {"vu op replaced by zz",
+           [](std::string T) {
+             size_t P = T.find("\nvu ");
+             if (P != std::string::npos)
+               T.replace(P + 1, 2, "zz");
+             return T;
+           }},
+      };
+  for (const auto &[What, Corrupt] : Corruptions) {
+    ScratchDir Dir("spidey_cache_corrupt_body_test");
+    Opts.CacheDir = Dir.Path;
+    {
+      Parsed R = parseFiles(Files);
+      ComponentialAnalyzer CA(*R.Prog, Opts);
+      CA.run();
+    }
+    std::string Path = Dir.Path + "/" + componentCacheFileName("lib.ss");
+    std::string Text = readText(Path);
+    std::string Bad = Corrupt(Text);
+    ASSERT_NE(Bad, Text) << What;
+    // The header (through the externals) survives, so only the body fails.
+    ASSERT_LT(Text.find("\nselectors "), Bad.size()) << What;
+    writeText(Path, Bad);
+
+    Parsed R = parseFiles(Files);
+    ComponentialAnalyzer CA(*R.Prog, Opts);
+    CA.run();
+    EXPECT_EQ(CA.componentStats()[0].Cache, CacheOutcome::MissCorrupt)
+        << What;
+    EXPECT_FALSE(CA.componentStats()[0].ReusedFile) << What;
+    EXPECT_EQ(CA.componentStats()[1].Cache, CacheOutcome::Hit) << What;
+    EXPECT_FALSE(CA.runInfo().MergedOffText) << What;
+    EXPECT_EQ(CA.combined().str(), Cold) << What;
+  }
+}
+
+TEST(Cache, HostileVarsCountIsRederived) {
+  // A header whose hash, options and externals all match but whose vars
+  // count is absurd must be rejected before anything is allocated, not
+  // thrown through run().
+  ScratchDir Dir("spidey_cache_hostile_vars_test");
+  ComponentialOptions Opts;
+  Opts.CacheDir = Dir.Path;
+  {
+    Parsed R = parseFiles(TwoFiles);
+    ASSERT_TRUE(R.Ok) << R.Diags.str();
+    ComponentialAnalyzer CA(*R.Prog, Opts);
+    CA.run();
+  }
+  std::string Path = Dir.Path + "/" + componentCacheFileName("lib.ss");
+  std::string Text = readText(Path);
+  size_t P = Text.find("\nvars ");
+  ASSERT_NE(P, std::string::npos);
+  Text.replace(P, Text.find('\n', P + 1) - P, "\nvars 4611686018427387904");
+  writeText(Path, Text);
+
+  Parsed R = parseFiles(TwoFiles);
+  ComponentialAnalyzer CA(*R.Prog, Opts);
+  CA.run();
+  EXPECT_EQ(CA.componentStats()[0].Cache, CacheOutcome::MissCorrupt);
+  EXPECT_FALSE(CA.componentStats()[0].ReusedFile);
+  EXPECT_EQ(CA.componentStats()[1].Cache, CacheOutcome::Hit);
+  auto Full = CA.reconstruct(1);
+  EXPECT_EQ(kindsAt(*R.Prog, CA.maps(), *Full, "go"),
+            std::vector<std::string>{"num"});
 }
 
 //===----------------------------------------------------------------------===//

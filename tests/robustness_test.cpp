@@ -148,6 +148,13 @@ TEST(Robustness, HostileConstraintFilesRejectedWithDiagnostic) {
          "future version");
   Expect(Replace("spidey-constraint-file 2", "spidey-constraint-file 999"),
          "far-future version");
+  // Counts no text of this size could hold (2^62) are rejected before
+  // anything is allocated for them.
+  Expect(Replace("vars 2", "vars 4611686018427387904"), "huge vars count");
+  Expect(Replace("selectors 2", "selectors 4611686018427387904"),
+         "huge selectors count");
+  Expect(Replace("constants 1", "constants 4611686018427387904"),
+         "huge constants count");
 }
 
 TEST(Robustness, SelectorFamiliesRoundTrip) {
