@@ -39,30 +39,12 @@ struct Run {
   ComponentialRunInfo Info; ///< solver telemetry of the best repeat
 };
 
-/// One sharded-close measurement: the close phase alone, at a fixed shard
-/// count, driven by a varying worker-thread count. Shards stay constant
-/// across rows so every row closes the identical partition — the speedup
-/// column is thread scaling, not partition luck.
-struct CloseRun {
-  unsigned Threads = 1;
-  double CloseMs = 0;
-  double Speedup = 1.0; ///< vs. the sharded threads=1 row (same partition)
-  double ClosePerSec = 0;
-  uint64_t Rounds = 0;
-  uint64_t BoundaryLows = 0;
-  uint64_t BoundaryUps = 0;
-};
-
 struct ProgramResult {
   std::string Name;
   size_t Components = 0;
   size_t Lines = 0;
   std::vector<Run> Runs;
   bool Deterministic = true;
-  /// Close-phase scaling (separate from the end-to-end rows above).
-  unsigned CloseShards = 0;
-  double SeqCloseMs = 0; ///< sequential engine, from the threads=1 row
-  std::vector<CloseRun> CloseRuns;
 };
 
 constexpr int Repeats = 3;
@@ -110,43 +92,6 @@ ProgramResult benchProgram(const char *Name,
         Result.Runs.empty() ? 1.0 : Result.Runs.front().WallMs / R.WallMs;
     Result.Runs.push_back(R);
   }
-
-  // Close-phase scaling: the sharded fixpoint at a fixed shard count,
-  // swept over the same thread counts. The sequential baseline comes from
-  // the end-to-end threads=1 row above.
-  Result.CloseShards = 8;
-  Result.SeqCloseMs =
-      Result.Runs.empty() ? 0 : Result.Runs.front().Info.CloseMs;
-  for (unsigned Threads : ThreadCounts) {
-    CloseRun CR;
-    CR.Threads = Threads;
-    CR.CloseMs = 1e300;
-    for (int Rep = 0; Rep < Repeats; ++Rep) {
-      ComponentialOptions Opts;
-      Opts.Threads = Threads;
-      Opts.ParallelClose = true;
-      Opts.CloseShards = Result.CloseShards;
-      ComponentialAnalyzer CA(P, Opts);
-      CA.run();
-      const ComponentialRunInfo &Info = CA.runInfo();
-      if (Info.CloseMs < CR.CloseMs) {
-        CR.CloseMs = Info.CloseMs;
-        CR.ClosePerSec = Info.CloseMs > 0
-                             ? CA.combined().size() / (Info.CloseMs / 1000.0)
-                             : 0;
-        CR.Rounds = Info.Closure.CloseRounds;
-        CR.BoundaryLows = Info.Closure.BoundaryLowsSent;
-        CR.BoundaryUps = Info.Closure.BoundaryUpsSent;
-      }
-      // The sharded close must reproduce the sequential bytes exactly.
-      if (Rep == 0 && CA.combined().str() != Reference)
-        Result.Deterministic = false;
-    }
-    CR.Speedup = Result.CloseRuns.empty() || CR.CloseMs <= 0
-                     ? 1.0
-                     : Result.CloseRuns.front().CloseMs / CR.CloseMs;
-    Result.CloseRuns.push_back(CR);
-  }
   return Result;
 }
 
@@ -165,17 +110,6 @@ void printTable(const ProgramResult &R) {
                 "close %.1f ms\n",
                 Info.DeriveMs, Info.MergeMs, Info.CloseMs);
     std::printf("%s", Info.Closure.str().c_str());
-  }
-  if (!R.CloseRuns.empty()) {
-    std::printf("  close phase (%u shards; sequential close %.1f ms):\n",
-                R.CloseShards, R.SeqCloseMs);
-    std::printf("  %8s %10s %10s %8s %14s\n", "threads", "close ms",
-                "speedup", "rounds", "boundary l/u");
-    for (const CloseRun &CR : R.CloseRuns)
-      std::printf("  %8u %10.1f %9.2fx %8llu %7llu/%llu\n", CR.Threads,
-                  CR.CloseMs, CR.Speedup, (unsigned long long)CR.Rounds,
-                  (unsigned long long)CR.BoundaryLows,
-                  (unsigned long long)CR.BoundaryUps);
   }
   if (!R.Deterministic)
     std::printf("  !! combined system differed across thread counts\n");
@@ -235,24 +169,7 @@ void printJson(const std::vector<ProgramResult> &Results) {
           (unsigned long long)Run.Info.Derive.BulkClonedConstraints,
           J + 1 < R.Runs.size() ? "," : "");
     }
-    std::printf("      ],\n");
-    std::printf("      \"close\": {\"shards\": %u, "
-                "\"sequential_close_ms\": %.2f, \"runs\": [\n",
-                R.CloseShards, R.SeqCloseMs);
-    for (size_t J = 0; J < R.CloseRuns.size(); ++J) {
-      const CloseRun &CR = R.CloseRuns[J];
-      std::printf("        {\"threads\": %u, \"close_ms\": %.2f, "
-                  "\"close_speedup\": %.3f, "
-                  "\"close_constraints_per_sec\": %.0f, "
-                  "\"rounds\": %llu, \"boundary_lows\": %llu, "
-                  "\"boundary_ups\": %llu}%s\n",
-                  CR.Threads, CR.CloseMs, CR.Speedup, CR.ClosePerSec,
-                  (unsigned long long)CR.Rounds,
-                  (unsigned long long)CR.BoundaryLows,
-                  (unsigned long long)CR.BoundaryUps,
-                  J + 1 < R.CloseRuns.size() ? "," : "");
-    }
-    std::printf("      ]}\n");
+    std::printf("      ]\n");
     std::printf("    }%s\n", I + 1 < Results.size() ? "," : "");
   }
   std::printf("  ]\n");

@@ -7,11 +7,11 @@ Usage: check_perf_floor.py <bench_parallel.json> <perf_floor.json> \
 
 Fails (exit 1) when a program's derive throughput at the pinned thread
 count has regressed more than `regression_factor` times below its
-floor, and likewise for the sharded close-phase throughput when the
-floor entry carries `close_constraints_per_sec_floor` (gated against
-the `close` block's runs). The floor file deliberately sits far under a
-healthy run so the gate only trips on algorithmic regressions, not
-runner noise.
+floor, and likewise for the combined close's throughput when the floor
+entry carries `close_constraints_per_sec_floor` (the same row's
+`combined_constraints / close_ms`). The floor file deliberately sits
+far under a healthy run so the gate only trips on algorithmic
+regressions, not runner noise.
 
 When bench_query.json is given, the floor file's `query` block is also
 enforced: warm memoized flow must beat the FlowGraph-rebuild baseline by
@@ -109,24 +109,21 @@ def main() -> int:
         failed = failed or cps < minimum
         close_floor = floor.get("close_constraints_per_sec_floor")
         if close_floor is not None:
-            close_runs = prog.get("close", {}).get("runs", [])
-            crun = next(
-                (r for r in close_runs if r["threads"] == threads), None
+            close_ms = run["close_ms"]
+            ccps = (
+                run["combined_constraints"] / (close_ms / 1000.0)
+                if close_ms > 0
+                else float("inf")
             )
-            if crun is None:
-                print(f"FAIL {name}: no close run at threads={threads}")
-                failed = True
-            else:
-                ccps = crun["close_constraints_per_sec"]
-                cmin = close_floor / factor
-                cverdict = "FAIL" if ccps < cmin else "OK"
-                print(
-                    f"{cverdict} {name} close threads={threads}: "
-                    f"{ccps:.0f} constraints/sec "
-                    f"(floor {close_floor}, "
-                    f"minimum after {factor}x allowance {cmin:.0f})"
-                )
-                failed = failed or ccps < cmin
+            cmin = close_floor / factor
+            cverdict = "FAIL" if ccps < cmin else "OK"
+            print(
+                f"{cverdict} {name} close threads={threads}: "
+                f"{ccps:.0f} constraints/sec "
+                f"(floor {close_floor}, "
+                f"minimum after {factor}x allowance {cmin:.0f})"
+            )
+            failed = failed or ccps < cmin
         if not prog.get("deterministic_across_threads", True):
             print(f"FAIL {name}: combined system differed across threads")
             failed = True

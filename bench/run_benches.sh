@@ -78,14 +78,9 @@ elif os.path.exists(out):
 doc = {
     "description": "Componential analysis wall time before/after the "
                    "parallel worker pool + cache-friendly constraint core "
-                   "(cache disabled; best of 3). Each program also carries "
-                   "a 'close' block: the sharded parallel close fixpoint "
-                   "(fixed shard count, byte-identical output) timed "
-                   "separately per thread count, with close_speedup "
-                   "relative to the sharded threads=1 row. Thread rows "
-                   "above hardware_concurrency measure oversubscription "
-                   "only: speedup<1 on a 1-core runner is expected for "
-                   "both the end-to-end and close-phase tables",
+                   "(cache disabled; best of 3). Thread rows above "
+                   "hardware_concurrency measure oversubscription only: "
+                   "speedup<1 on a 1-core runner is expected",
     "before": before,
     "after": after,
 }

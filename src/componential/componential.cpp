@@ -564,25 +564,20 @@ void ComponentialAnalyzer::run() {
       static_cast<uint32_t>(P.Components.size());
   if (NumComponents && !CrossRefsComputed)
     computeCrossReferences();
-  if (!Opts.CacheDir.empty())
-    std::filesystem::create_directories(Opts.CacheDir);
+  if (!Opts.CacheDir.empty()) {
+    // A directory that cannot be created behaves like a cache whose
+    // writes fail: loads miss and writes are dropped.
+    std::error_code EC;
+    std::filesystem::create_directories(Opts.CacheDir, EC);
+  }
 
-  const unsigned Threads =
-      Opts.Threads ? Opts.Threads : WorkerPool::defaultThreadCount();
-  unsigned Step1Threads = Threads;
-  if (NumComponents)
-    Step1Threads = std::min(Step1Threads, NumComponents);
-  const unsigned CloseShards =
-      Opts.ParallelClose ? (Opts.CloseShards ? Opts.CloseShards : Threads)
-                         : 0;
-  const unsigned CloseThreads =
-      CloseShards ? std::min(Threads, CloseShards) : 1;
-
-  // One pool serves both the step-1 fan-out and the sharded close
-  // rounds, sized for whichever phase needs more workers.
+  // The pool serves the step-1 fan-out only; step 2 runs on this thread.
+  const unsigned Step1Threads =
+      std::min(Opts.Threads ? Opts.Threads : WorkerPool::defaultThreadCount(),
+               std::max(NumComponents, 1u));
   std::unique_ptr<WorkerPool> Pool;
-  if ((Step1Threads > 1 && NumComponents > 1) || CloseThreads > 1)
-    Pool = std::make_unique<WorkerPool>(std::max(Step1Threads, CloseThreads));
+  if (Step1Threads > 1)
+    Pool = std::make_unique<WorkerPool>(Step1Threads);
 
   using Clock = std::chrono::steady_clock;
   auto MsSince = [](Clock::time_point From) {
@@ -597,7 +592,7 @@ void ComponentialAnalyzer::run() {
     SourceHashes[I] = hashSource(P.Components[I].SourceText);
     Work[I] = deriveIsolated(I, /*AllowCache=*/true);
   };
-  if (!Pool || Step1Threads <= 1 || NumComponents <= 1) {
+  if (!Pool) {
     for (uint32_t I = 0; I < NumComponents; ++I)
       Step1(I);
   } else {
@@ -605,23 +600,14 @@ void ComponentialAnalyzer::run() {
   }
   Info.DeriveMs = MsSince(DeriveStart);
 
-  // Step 2, sequential: combine in component order, then close — either
-  // the sequential engine or the sharded parallel fixpoint over the same
-  // worker pool; the closed system is byte-identical either way.
+  // Step 2, sequential: combine in component order, then close.
   auto MergeStart = Clock::now();
   for (uint32_t I = 0; I < NumComponents; ++I)
     merge(I, Work[I]);
   Info.MergeMs = MsSince(MergeStart);
   auto CloseStart = Clock::now();
   Combined->setCancel(Opts.Cancel);
-  if (CloseShards && Pool && CloseThreads > 1) {
-    PoolRunner Runner(*Pool);
-    Combined->closeSharded(CloseShards, &Runner);
-  } else if (CloseShards) {
-    Combined->closeSharded(CloseShards, nullptr);
-  } else {
-    Combined->close();
-  }
+  Combined->close();
   Info.CloseMs = MsSince(CloseStart);
   if (Combined->closureCancelled()) {
     Info.Cancelled = true;

@@ -82,16 +82,6 @@ struct ComponentialOptions {
   /// hardware_concurrency; 1 runs the same code path inline (the combined
   /// result is identical for every value).
   unsigned Threads = 0;
-  /// Close the merged whole-program system with the sharded parallel
-  /// fixpoint (ConstraintSystem::closeSharded, DESIGN.md §11) instead of
-  /// the sequential engine. The combined system — and every byte of its
-  /// serialized output — is identical either way; off runs the current
-  /// sequential close() verbatim.
-  bool ParallelClose = false;
-  /// Shard count for ParallelClose. 0 picks one shard per worker thread;
-  /// 1 is exactly the sequential engine. The shard count changes only
-  /// how the close-phase work is partitioned, never its result.
-  unsigned CloseShards = 0;
   /// Optional cancellation token (not owned): derive, merge, and close
   /// poll it, and a cancelled run reports which components never
   /// converged (ComponentRunStats::TimedOut, ComponentialRunInfo::

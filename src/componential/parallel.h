@@ -18,8 +18,6 @@
 #ifndef SPIDEY_COMPONENTIAL_PARALLEL_H
 #define SPIDEY_COMPONENTIAL_PARALLEL_H
 
-#include "constraints/constraint_system.h"
-
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -77,21 +75,6 @@ void parallelFor(WorkerPool &Pool, uint32_t N, Fn &&F) {
     Pool.submit([&F, I] { F(I); });
   Pool.wait();
 }
-
-/// Adapts the worker pool to the constraints layer's ParallelRunner so
-/// ConstraintSystem::closeSharded can fan its shard rounds out over the
-/// same pool that ran the per-component derive step (the constraints
-/// library cannot link against this one, hence the interface).
-class PoolRunner final : public ParallelRunner {
-public:
-  explicit PoolRunner(WorkerPool &Pool) : Pool(Pool) {}
-  void run(uint32_t N, const std::function<void(uint32_t)> &Fn) override {
-    parallelFor(Pool, N, Fn);
-  }
-
-private:
-  WorkerPool &Pool;
-};
 
 } // namespace spidey
 

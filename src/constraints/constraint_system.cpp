@@ -20,16 +20,6 @@ std::string ClosureStats::str() const {
      << " vars unified\n"
      << "  cycle search steps: " << CycleSearchSteps << "\n"
      << "  peak worklist:      " << PeakWorklistDepth << "\n";
-  if (ShardsUsed) {
-    OS << "  close rounds:       " << CloseRounds << " (" << ShardsUsed
-       << " shards)\n"
-       << "  boundary traffic:   " << BoundaryLowsSent << " lows, "
-       << BoundaryUpsSent << " ups\n"
-       << "  shard drains:       ";
-    for (size_t I = 0; I < ShardDrained.size(); ++I)
-      OS << (I ? " " : "") << ShardDrained[I];
-    OS << "\n";
-  }
   return OS.str();
 }
 
@@ -132,15 +122,6 @@ void ConstraintSystem::markDirty(SetVar R) {
 }
 
 bool ConstraintSystem::insertLower(SetVar A, const LowerBound &L) {
-  if (Outbox && (*ShardOf)[A] != ShardId) {
-    if (!Keys.insert(A, lowKey(L))) {
-      ++Stats.DedupHits;
-      return false;
-    }
-    (*Outbox)[(*ShardOf)[A]].push_back({A, true, L, {}});
-    ++Stats.BoundaryLowsSent;
-    return false; // the owner shard stores it next round
-  }
   SetVar R = find(A);
   if (!Keys.insert(R, lowKey(L))) {
     ++Stats.DedupHits;
@@ -154,15 +135,6 @@ bool ConstraintSystem::insertLower(SetVar A, const LowerBound &L) {
 }
 
 bool ConstraintSystem::insertUpper(SetVar A, const UpperBound &U) {
-  if (Outbox && (*ShardOf)[A] != ShardId) {
-    if (!Keys.insert(A, upKey(U))) {
-      ++Stats.DedupHits;
-      return false;
-    }
-    (*Outbox)[(*ShardOf)[A]].push_back({A, false, {}, U});
-    ++Stats.BoundaryUpsSent;
-    return false; // the owner shard stores it next round
-  }
   if (!Keys.insert(A, upKey(U))) {
     ++Stats.DedupHits;
     return false;
@@ -741,8 +713,8 @@ void ConstraintSystem::absorbMapped(const ConstraintSystem &Other,
 
 std::string ConstraintSystem::str() const {
   // Bounds print in canonical (key-sorted) order, not storage order, so
-  // the rendering depends only on the closed bound set — identical for
-  // the sequential and sharded engines (see lowerBoundLess).
+  // the rendering depends only on the closed bound set, not on the order
+  // the drain discovered it in (see lowerBoundLess).
   std::ostringstream OS;
   const SelectorTable &Sels = Ctx->Selectors;
   std::vector<LowerBound> Lows;

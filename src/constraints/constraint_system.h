@@ -64,7 +64,6 @@
 #include "support/cancel.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -229,14 +228,6 @@ struct ClosureStats {
   uint64_t CycleSearchSteps = 0;
   /// High-water mark of the representative worklist.
   uint64_t PeakWorklistDepth = 0;
-  /// Sharded close (closeSharded) telemetry; all zero after a purely
-  /// sequential close.
-  uint64_t CloseRounds = 0;      ///< boundary-exchange rounds run
-  uint64_t BoundaryLowsSent = 0; ///< lower bounds routed across shards
-  uint64_t BoundaryUpsSent = 0;  ///< upper bounds routed across shards
-  uint64_t ShardsUsed = 0;       ///< shard count of the last sharded close
-  /// Dirty-representative tasks drained per shard (index = shard id).
-  std::vector<uint64_t> ShardDrained;
 
   double dedupHitRate() const {
     uint64_t Probes = CombinesInserted + DedupHits;
@@ -254,15 +245,6 @@ struct ClosureStats {
     CycleSearchSteps += O.CycleSearchSteps;
     if (O.PeakWorklistDepth > PeakWorklistDepth)
       PeakWorklistDepth = O.PeakWorklistDepth;
-    CloseRounds += O.CloseRounds;
-    BoundaryLowsSent += O.BoundaryLowsSent;
-    BoundaryUpsSent += O.BoundaryUpsSent;
-    if (O.ShardsUsed > ShardsUsed)
-      ShardsUsed = O.ShardsUsed;
-    if (ShardDrained.size() < O.ShardDrained.size())
-      ShardDrained.resize(O.ShardDrained.size(), 0);
-    for (size_t I = 0; I < O.ShardDrained.size(); ++I)
-      ShardDrained[I] += O.ShardDrained[I];
   }
 
   /// Human-readable multi-line rendering ("  key: value" lines).
@@ -289,18 +271,6 @@ struct BulkConstraint {
   static SetVar decode(SetVar V, SetVar Base) {
     return V & QuantifiedFlag ? Base + (V & ~QuantifiedFlag) : V;
   }
-};
-
-/// Abstract N-way task runner used by ConstraintSystem::closeSharded:
-/// run(N, Fn) invokes Fn(0) .. Fn(N-1), possibly concurrently, and
-/// returns only once every invocation has finished. The constraints
-/// layer cannot depend on the componential worker pool, so the pool
-/// adapts itself to this interface (componential/parallel.h PoolRunner);
-/// a null runner executes the shards inline on the calling thread.
-class ParallelRunner {
-public:
-  virtual ~ParallelRunner() = default;
-  virtual void run(uint32_t N, const std::function<void(uint32_t)> &Fn) = 0;
 };
 
 /// A simple constraint system, kept closed under Θ.
@@ -391,21 +361,6 @@ public:
   /// Closes the system under Θ (needed only after raw adds).
   void close();
 
-  /// Closes the system under Θ with the sharded parallel fixpoint (see
-  /// DESIGN.md §11 "Sharded closure"): ε-SCCs are collapsed offline,
-  /// representatives are partitioned into \p NumShards shards by a hash
-  /// of the representative, each shard runs the ordinary worklist drain
-  /// over the variables it owns, and rule products that target another
-  /// shard's variable travel through per-(source, target) queues drained
-  /// in deterministic barrier rounds until no shard has outbound
-  /// traffic. The closed system — bounds, sizes, presented order — is
-  /// identical to what close() produces for every shard count, because
-  /// the Θ fixpoint is unique and the write-back inserts new bounds in
-  /// canonical (variable-ascending, key-sorted) order. \p Runner may be
-  /// null, which runs the shards inline; NumShards <= 1 is exactly
-  /// close().
-  void closeSharded(unsigned NumShards, ParallelRunner *Runner = nullptr);
-
   //===------------------------------------------------------------------===
   // Cooperative cancellation. With a token attached, the worklist drain
   // polls it (charging one unit per combine attempted) and unwinds once
@@ -488,8 +443,9 @@ public:
   /// Canonical presentation order for bound lists. Sorting a variable's
   /// bounds by these keys makes rendered/serialized output a pure
   /// function of the closed bound *set* (which is a unique fixpoint),
-  /// not of the order the engine discovered the bounds in — the
-  /// foundation of the sequential/sharded byte-identity contract.
+  /// not of the order the engine discovered the bounds in: online and
+  /// offline closes of the same constraints render the same bytes, and
+  /// every stored constraint file is written in this order.
   static bool lowerBoundLess(const LowerBound &A, const LowerBound &B) {
     return lowKey(A) < lowKey(B);
   }
@@ -670,27 +626,6 @@ private:
   /// loops (a deadline can overshoot by at most ~one stride of combines).
   static constexpr uint64_t PollStride = 1024;
 
-  /// One cross-shard constraint in flight during closeSharded: a bound
-  /// some shard discovered for a variable another shard owns.
-  struct BoundaryMsg {
-    SetVar Target = NoSetVar;
-    bool IsLow = true;
-    LowerBound Low{};
-    UpperBound Up{};
-  };
-
-  /// Hash a representative to its owner shard (splitmix64 finalizer —
-  /// deterministic across runs and platforms).
-  static uint32_t shardOfRep(SetVar R, unsigned NumShards) {
-    uint64_t X = uint64_t(R) + 0x9E3779B97F4A7C15ull;
-    X ^= X >> 30;
-    X *= 0xBF58476D1CE4E5B9ull;
-    X ^= X >> 27;
-    X *= 0x94D049BB133111EBull;
-    X ^= X >> 31;
-    return static_cast<uint32_t>(X % NumShards);
-  }
-
   ConstraintContext *Ctx;
   std::vector<uint32_t> Slots; ///< SetVar -> index into Storage, or NoSlot
   std::vector<VarBounds> Storage;
@@ -714,19 +649,6 @@ private:
   CancelToken *Cancel = nullptr; ///< not owned; null = never cancels
   bool CancelLatched = false;
   uint64_t ChargedCombines = 0; ///< combines charged to the token so far
-
-  // Sharded-close plumbing, set only on the shard-local systems built by
-  // closeSharded (null/0 on ordinary systems). ShardOf is the frozen
-  // var → owner-shard map (indexed by SetVar, computed from the
-  // partition-time representatives); inserts targeting a variable whose
-  // owner is not ShardId are diverted into Outbox[owner] instead of
-  // being stored locally. Sender-side dedup still goes through Keys —
-  // remote variables never gain local storage or union-find edges, so
-  // keying the sent bound under the target variable itself is stable —
-  // which bounds cross-shard traffic by the fixpoint size.
-  const std::vector<uint32_t> *ShardOf = nullptr;
-  uint32_t ShardId = 0;
-  std::vector<std::vector<BoundaryMsg>> *Outbox = nullptr;
 };
 
 } // namespace spidey

@@ -74,8 +74,7 @@ std::string spidey::serializeConstraints(
   // First pass over constraints to populate tables; collect lines. Each
   // variable's bounds are emitted in canonical (key-sorted) order rather
   // than storage order, so the file bytes are a pure function of the
-  // closed bound set: the sequential and sharded close engines discover
-  // bounds in different orders but serialize identically.
+  // closed bound set, not of the order the drain discovered it in.
   std::ostringstream Body;
   size_t NumConstraints = 0;
   std::vector<LowerBound> Lows;

@@ -32,8 +32,6 @@ const char *spidey::oracleName(Oracle O) {
     return "threads";
   case Oracle::Closure:
     return "closure";
-  case Oracle::ParClose:
-    return "parclose";
   case Oracle::Chaos:
     return "chaos";
   case Oracle::Query:
@@ -319,47 +317,6 @@ OracleVerdict checkThreads(const Program &P, const OracleOptions &Opts) {
 }
 
 //===----------------------------------------------------------------------===
-// Oracle 7: determinism of the sharded parallel close (DESIGN.md §11).
-//===----------------------------------------------------------------------===
-
-OracleVerdict checkParClose(const Program &P, const OracleOptions &Opts) {
-  OracleVerdict V;
-  std::string Reference;
-  {
-    ComponentialOptions CO;
-    CO.Threads = 1;
-    ComponentialAnalyzer CA(P, CO);
-    CA.run();
-    Reference = CA.combined().str();
-  }
-  // A prime shard count stresses uneven partitions; the threaded run
-  // additionally exercises the barrier rounds over a real pool.
-  const unsigned ShardCounts[] = {2, 3, 5};
-  for (unsigned Shards : ShardCounts) {
-    ComponentialOptions CO;
-    CO.Threads = Shards == 3 ? (Opts.Threads < 2 ? 2 : Opts.Threads) : 1;
-    CO.ParallelClose = true;
-    CO.CloseShards = Shards;
-    ComponentialAnalyzer CA(P, CO);
-    CA.run();
-    std::string Got = CA.combined().str();
-    if (Got != Reference) {
-      size_t At = 0;
-      while (At < Got.size() && At < Reference.size() &&
-             Got[At] == Reference[At])
-        ++At;
-      V.Violation = true;
-      V.Message = "sharded close (shards=" + std::to_string(Shards) +
-                  ", threads=" + std::to_string(CO.Threads) +
-                  ") diverged from the sequential engine at byte " +
-                  std::to_string(At);
-      return V;
-    }
-  }
-  return V;
-}
-
-//===----------------------------------------------------------------------===
 // Oracle 5: closure engine vs. the naive reference fixpoint.
 //===----------------------------------------------------------------------===
 
@@ -498,7 +455,7 @@ OracleVerdict checkChaos(const std::vector<SourceFile> &Files,
 }
 
 //===----------------------------------------------------------------------===
-// Oracle 8: query — demand-driven serve answers vs. the closed engine.
+// Oracle 7: query — demand-driven serve answers vs. the closed engine.
 //===----------------------------------------------------------------------===
 
 /// The ground-truth answers for one program state, computed the
@@ -782,8 +739,6 @@ OracleVerdict spidey::checkOracle(Oracle O,
     return checkThreads(P.Prog, Opts);
   case Oracle::Closure:
     return checkClosure(P.Prog, Opts);
-  case Oracle::ParClose:
-    return checkParClose(P.Prog, Opts);
   case Oracle::Chaos:
     return checkChaos(Files, Opts);
   case Oracle::Query:

@@ -22,10 +22,6 @@
 ///    system with the naive reference fixpoint (ReferenceClosure) must
 ///    not grow any variable's constant set — i.e. the incremental engine
 ///    reached the full Θ fixpoint.
-///  - ParClose: the sharded parallel close (ComponentialOptions::
-///    ParallelClose, DESIGN.md §11) yields a combined system byte-identical
-///    to the sequential engine across several shard counts, including a
-///    shard count that does not divide the variable space evenly.
 ///  - Chaos: a serve session driven with every cache/store/parse fault
 ///    site armed (seeded from the program text) must answer every request
 ///    with well-formed JSON, never fail an analyze (without a deadline,
@@ -62,11 +58,10 @@ enum class Oracle : uint8_t {
   Componential,
   Threads,
   Closure,
-  ParClose,
   Chaos,
   Query,
 };
-inline constexpr unsigned NumOracles = 8;
+inline constexpr unsigned NumOracles = 7;
 
 const char *oracleName(Oracle O);
 /// Parses an oracle name; returns false if unknown.

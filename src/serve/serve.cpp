@@ -245,8 +245,6 @@ bool ServeSession::ensureAnalyzed(std::string &Error) {
   CO.Simplify = Opts.Simplify;
   CO.Derive = Opts.Derive;
   CO.Threads = Opts.Threads;
-  CO.ParallelClose = Opts.ParallelClose;
-  CO.CloseShards = Opts.CloseShards;
   CO.CacheDir = Opts.CacheDir;
   CO.MemStore = &StoreView;
   CO.MergeViaFiles = true;

@@ -179,11 +179,6 @@ struct ServeOptions {
   AnalysisOptions Derive;
   /// Worker threads for step 1 (0 = hardware concurrency).
   unsigned Threads = 0;
-  /// Close the merged system with the sharded parallel fixpoint
-  /// (byte-identical output; see ComponentialOptions::ParallelClose).
-  bool ParallelClose = false;
-  /// Shard count for ParallelClose (0 = one per worker thread).
-  unsigned CloseShards = 0;
   /// Optional on-disk constraint-file cache behind the in-memory store;
   /// lets a fresh daemon warm-start from a previous run.
   std::string CacheDir;

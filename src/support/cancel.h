@@ -13,13 +13,11 @@
 ///
 /// charge() is safe to call from multiple worker threads; the cancelled
 /// flag latches so mid-flight workers all see the same verdict. One
-/// token can therefore aggregate the work of a whole sharded close: the
-/// shards of ConstraintSystem::closeSharded all charge the same token,
-/// the budget counts their combined combine attempts, and the first
-/// shard to trip it cancels every other shard at its next poll (each
-/// shard polls per PollStride combines, so a budget can overshoot by at
-/// most shards × stride). A degraded answer produced this way is still
-/// exact-recoverable: the serve session stays dirty and the next
+/// token can therefore aggregate the work of the step-1 fan-out: every
+/// component's drain charges the same token, the budget counts their
+/// combined combine attempts, and the first worker to trip it cancels
+/// the others at their next poll. A degraded answer produced this way is
+/// still exact-recoverable: the serve session stays dirty and the next
 /// in-budget pass reproduces the cold bytes.
 ///
 //===----------------------------------------------------------------------===//
@@ -71,7 +69,7 @@ public:
   }
 
   /// True when a deadline or budget is armed (or the token was cancelled
-  /// outright); lets multi-shard drains skip polling on free runs.
+  /// outright); lets hot loops skip polling on free runs.
   bool armed() const {
     return HasDeadline || Budget != 0 || cancelled();
   }

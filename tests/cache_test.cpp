@@ -309,6 +309,33 @@ TEST(Cache, HostileVarsCountIsRederived) {
             std::vector<std::string>{"num"});
 }
 
+TEST(Cache, UncreatableCacheDirBehavesLikeFailingWrites) {
+  // A cache directory under a regular file cannot be created. The run
+  // must not throw: loads miss, writes are dropped, and the combined
+  // system is that of a run without a cache.
+  ScratchDir Dir("spidey_cache_uncreatable_test");
+  fs::create_directories(Dir.Path);
+  const std::string File = Dir.Path + "/plain-file";
+  writeText(File, "not a directory");
+  ComponentialOptions Opts;
+  std::string Want;
+  {
+    Parsed R = parseFiles(TwoFiles);
+    ASSERT_TRUE(R.Ok) << R.Diags.str();
+    ComponentialAnalyzer CA(*R.Prog, Opts);
+    CA.run();
+    Want = CA.combined().str();
+  }
+  Opts.CacheDir = File + "/c";
+  Parsed R = parseFiles(TwoFiles);
+  ComponentialAnalyzer CA(*R.Prog, Opts);
+  EXPECT_NO_THROW(CA.run());
+  EXPECT_EQ(CA.combined().str(), Want);
+  for (const ComponentRunStats &CS : CA.componentStats())
+    EXPECT_EQ(CS.Cache, CacheOutcome::MissNoEntry);
+  EXPECT_FALSE(fs::exists(Opts.CacheDir));
+}
+
 //===----------------------------------------------------------------------===//
 // Satellite 3: cache file names must not collide across component names.
 //===----------------------------------------------------------------------===//

@@ -338,19 +338,19 @@ TEST(ChaosDegrade, OverBudgetAnalyzeDegradesThenRecoversExactly) {
   EXPECT_EQ(S.combinedText(), Want);
 }
 
-// The sharded parallel close under a work budget: the shared token latches
-// across shards mid-round, the answer degrades with every component derived
-// (the budget fell in the close phase, not in step 1), the session stays
-// dirty, and the next in-budget pass reproduces the exact cold bytes — the
-// same bytes the sequential engine produces.
+// The combined close under a work budget: the token trips mid-close, the
+// answer degrades with every component derived (the budget fell in the
+// close phase, not in step 1), the session stays dirty, and the next
+// in-budget pass reproduces the exact cold bytes. (The name is kept from
+// when a sharded close engine ran this phase.)
 TEST(ChaosDegrade, ShardedCloseBudgetTripsMidRoundThenRecovers) {
   FaultScope Scope;
   // One define per file: every chain link crosses a component boundary,
   // so after per-component simplification the propagation work lives in
   // the *combined* close — exactly the phase the budget must interrupt.
   // (chainProgram's two fat components would spend the budget in derive.)
-  // 300 links keep every shard's per-round drain past the forced-poll
-  // stride, so the close phase actually charges the shared token.
+  // 300 links keep the close's drain past the forced-poll stride, so the
+  // close phase actually charges the token.
   std::vector<SourceFile> Files;
   Files.push_back({"c000.ss", "(define c0 (cons 1 2))"});
   for (int I = 1; I < 300; ++I) {
@@ -361,9 +361,7 @@ TEST(ChaosDegrade, ShardedCloseBudgetTripsMidRoundThenRecovers) {
   Files.push_back({"top.ss", "(define top (car c299))"});
 
   ServeOptions Base;
-  Base.Threads = 1; // shards run inline: deterministic charge counts
-  Base.ParallelClose = true;
-  Base.CloseShards = 4;
+  Base.Threads = 1; // deterministic charge counts
 
   std::string Want;
   {
@@ -372,19 +370,11 @@ TEST(ChaosDegrade, ShardedCloseBudgetTripsMidRoundThenRecovers) {
     Want = Cold.combinedText();
     ASSERT_FALSE(Want.empty());
   }
-  // Cross-engine identity: the sharded cold text is the sequential text.
-  {
-    ServeOptions Seq;
-    Seq.Threads = 1;
-    ServeSession SeqS(Seq);
-    SeqS.setFiles(Files);
-    EXPECT_EQ(Want, SeqS.combinedText());
-  }
 
   // Classify a budget: where in the pass did it trip? The charge sequence
   // is deterministic at Threads=1, so classification is monotone in the
   // budget — binary-search the window where derive completes but the
-  // sharded close does not.
+  // combined close does not.
   enum class Trip { Derive, Close, None };
   auto classify = [&](uint64_t Budget, ServeSession *&Out) {
     ServeOptions O = Base;

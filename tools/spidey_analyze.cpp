@@ -12,7 +12,8 @@
 ///   spidey-analyze --cache-dir .spidey *.ss      # reuse constraint files
 ///
 /// Exit code: 0 on success (even with unsafe checks), 2 on usage errors,
-/// 1 when a file cannot be read or the program does not parse.
+/// 1 when a file cannot be read, the cache directory cannot be created or
+/// the program does not parse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -41,11 +43,6 @@ usage: spidey-analyze [options] file.ss...
   --whole            whole-program analysis (default: componential)
   --threads N        worker threads for the componential step 1
                      (default 0 = hardware concurrency; 1 = sequential)
-  --parallel-close   close the merged system with the sharded parallel
-                     fixpoint (byte-identical output; shards default to
-                     the worker-thread count)
-  --close-shards N   shard count for the parallel close; implies
-                     --parallel-close (1 = sequential engine)
   --simplify ALG     per-component simplifier: none, empty, unreachable,
                      e-removal (default), hopcroft
   --cache-dir DIR    constraint-file cache directory (default: disabled)
@@ -131,11 +128,6 @@ int main(int Argc, char **Argv) {
       Stats = true;
     } else if (Arg == "--threads") {
       Opts.Threads = static_cast<unsigned>(NextUint());
-    } else if (Arg == "--parallel-close") {
-      Opts.ParallelClose = true;
-    } else if (Arg == "--close-shards") {
-      Opts.ParallelClose = true;
-      Opts.CloseShards = static_cast<unsigned>(NextUint());
     } else if (Arg == "--simplify") {
       std::string Name = Next();
       if (!simplifyFromName(Name, Opts.Simplify)) {
@@ -167,6 +159,15 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Files.push_back(std::move(F));
+  }
+  if (!Opts.CacheDir.empty()) {
+    std::error_code EC;
+    std::filesystem::create_directories(Opts.CacheDir, EC);
+    if (EC) {
+      std::cerr << "spidey-analyze: cannot create cache directory "
+                << Opts.CacheDir << ": " << EC.message() << "\n";
+      return 1;
+    }
   }
 
   Program P;

@@ -35,8 +35,8 @@ usage: spidey-fuzz [options]
   --iters N          iterations (default 100)
   --seed N           base seed (default 1; per-iteration seeds derive from it)
   --oracles LIST     comma-separated subset of: soundness,simplify,
-                     componential,threads,closure,parclose,chaos,query
-                     (default: all eight)
+                     componential,threads,closure,chaos,query
+                     (default: all seven)
   --fuel N           machine step budget for the soundness oracle
   --threads N        thread count compared against 1 (default 4)
   --depth N          selector-path probe depth (default 4)

@@ -118,10 +118,6 @@ usage: spidey-serve [options] file.ss...
                        with a "busy" answer (socket mode; default 64,
                        0 = unbounded)
   --threads N          worker threads for the componential step 1
-  --parallel-close     close the merged system with the sharded parallel
-                       fixpoint (byte-identical answers either way)
-  --close-shards N     shard count for the parallel close; implies
-                       --parallel-close (default 0 = one per thread)
   --simplify ALG       per-component simplifier: none, empty, unreachable,
                        e-removal (default), hopcroft
   --cache-dir DIR      on-disk constraint-file cache behind the in-memory
@@ -442,11 +438,6 @@ int main(int Argc, char **Argv) {
       MaxSessions = static_cast<size_t>(NextUint());
     } else if (Arg == "--threads") {
       Opts.Threads = static_cast<unsigned>(NextUint());
-    } else if (Arg == "--parallel-close") {
-      Opts.ParallelClose = true;
-    } else if (Arg == "--close-shards") {
-      Opts.ParallelClose = true;
-      Opts.CloseShards = static_cast<unsigned>(NextUint());
     } else if (Arg == "--simplify") {
       std::string Name = Next();
       if (!simplifyFromName(Name, Opts.Simplify)) {
