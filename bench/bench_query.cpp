@@ -107,7 +107,6 @@ Result benchProgram(const char *Name) {
   Program P = parseOrDie(Files);
   ComponentialOptions CO;
   CO.Threads = 1;
-  CO.MergeViaFiles = true;
   ComponentialAnalyzer CA(P, CO);
   CA.run();
   const ConstraintSystem &S = CA.combined();

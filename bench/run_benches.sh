@@ -181,7 +181,7 @@ after = json.load(open(serve_path))
 doc = {
     "description": "spidey-serve incremental re-analysis: cold "
                    "whole-program analyze vs warm single-component edit "
-                   "latency (in-memory constraint store, MergeViaFiles; "
+                   "latency (in-memory constraint store; "
                    "byte_identical asserts the warm combined system "
                    "equals a cold run; best of N repeats)",
     "after": after,

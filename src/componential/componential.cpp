@@ -8,13 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
@@ -82,23 +82,19 @@ std::string spidey::componentStoreKey(std::string_view SourceHash,
   return Key;
 }
 
-/// One component's step-1 result. A fresh derivation lives in a private
-/// ConstraintContext (workers share no mutable state) until merge()
-/// renumbers it into the analyzer's shared context. A constraint-file
-/// text is decoded here, on the worker, and merge() commits the image.
+/// One component's step-1 result: its constraint-file text, decoded on
+/// the worker, which merge() commits. A fresh derivation's private
+/// context, maps and simplified system never leave deriveIsolated.
 struct ComponentialAnalyzer::ComponentWork {
-  std::unique_ptr<ConstraintContext> Ctx;
-  AnalysisMaps Maps;
-  std::unique_ptr<ConstraintSystem> Simplified;
   size_t RawConstraints = 0;
   ClosureStats Closure;  ///< derive + simplify solver counters
   DeriveStats Derive;    ///< schema/instantiation counters (fresh derives)
   /// Length of the component's constraint-file text: the stored one on a
-  /// cache hit, else the fresh serialization (0 when none was written).
-  /// The text itself is freed on the worker once decoded or written.
+  /// cache hit, else the fresh serialization. The text itself is freed on
+  /// the worker once decoded.
   size_t FileBytes = 0;
-  /// That text decoded (HasImage): every cache hit, and a fresh derive
-  /// under MergeViaFiles whose text decodes.
+  /// That text decoded (HasImage). A fresh serialization that does not
+  /// decode leaves HasImage false, and merge() reports the bug.
   ConstraintImage Image;
   bool HasImage = false;
   bool CacheHit = false;
@@ -170,9 +166,6 @@ ComponentialAnalyzer::ComponentialAnalyzer(const Program &P,
   Ctx = std::make_unique<ConstraintContext>();
   Combined = std::make_unique<ConstraintSystem>(*Ctx);
   D = std::make_unique<Deriver>(P, *Ctx, Maps, this->Opts.Derive);
-  // The Deriver constructor pre-allocates every top-level variable, so the
-  // shared context and each job's private context agree on this prefix.
-  SharedVarWatermark = Ctx->numVars();
   Stats.resize(P.Components.size());
   SourceHashes.resize(P.Components.size());
 }
@@ -268,8 +261,10 @@ std::string ComponentialAnalyzer::cachePathFor(const Component &C) const {
 
 bool ComponentialAnalyzer::loadImage(const ComponentWork &W,
                                      ComponentRunStats &CS) {
-  if (faultAt("scf.parse"))
-    return false; // injected: the file text fails to deserialize
+  // Injected: a stored text fails to deserialize. A fresh serialization
+  // never draws, since its commit has no fallback.
+  if (W.CacheHit && faultAt("scf.parse"))
+    return false;
   if (!W.HasImage)
     return false;
   // Re-link the file's external variables with this run's top-level
@@ -292,7 +287,7 @@ bool ComponentialAnalyzer::loadImage(const ComponentWork &W,
   SymbolTable &Syms = const_cast<Program &>(P).Syms;
   const size_t Before = Combined->size();
   commitConstraintImage(W.Image, Syms, *Combined, Links);
-  CS.ReusedFile = true;
+  CS.ReusedFile = W.CacheHit;
   CS.SimplifiedConstraints = Combined->size() - Before;
   CS.FileBytes = W.FileBytes;
   return true;
@@ -372,12 +367,13 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
   }
 
   // Step 1: derive and close the component system in a private context,
-  // then simplify it with respect to the component's externals.
-  W.Ctx = std::make_unique<ConstraintContext>();
-  Deriver Private(P, *W.Ctx, W.Maps, Opts.Derive);
-  assert(W.Ctx->numVars() == SharedVarWatermark &&
-         "private contexts must allocate the top-level prefix identically");
-  ConstraintSystem Local(*W.Ctx);
+  // then simplify it with respect to the component's externals. The
+  // context, its maps and both systems are freed when this job returns;
+  // step 2 reads only the image decoded from the serialized text.
+  ConstraintContext Ctx;
+  AnalysisMaps Maps;
+  Deriver Private(P, Ctx, Maps, Opts.Derive);
+  ConstraintSystem Local(Ctx);
   Local.setCancel(Opts.Cancel);
   Private.deriveComponent(CompIdx, Local);
   if (Opts.Cancel && Opts.Cancel->cancelled()) {
@@ -390,172 +386,71 @@ ComponentialAnalyzer::deriveIsolated(uint32_t CompIdx,
   W.Closure = Local.stats();
   W.Derive = Private.stats();
 
-  std::vector<VarId> ExternalVars = externalVarIdsOf(CompIdx);
   std::vector<SetVar> E;
-  E.reserve(ExternalVars.size());
-  for (VarId V : ExternalVars)
-    E.push_back(W.Maps.VarVar[V]);
+  std::vector<std::pair<std::string, SetVar>> Externals;
+  std::unordered_set<SetVar> SeenVars;
+  for (VarId V : externalVarIdsOf(CompIdx)) {
+    SetVar SV = Maps.VarVar[V];
+    E.push_back(SV);
+    if (SeenVars.insert(SV).second)
+      Externals.emplace_back(P.Syms.name(P.var(V).Name), SV);
+  }
 
-  W.Simplified = std::make_unique<ConstraintSystem>(*W.Ctx);
+  ConstraintSystem Simplified(Ctx);
   if (Opts.Simplify == SimplifyAlgorithm::None) {
     // Local's counters move with it; don't double count.
     W.Closure = ClosureStats{};
-    *W.Simplified = std::move(Local);
+    Simplified = std::move(Local);
   } else {
-    *W.Simplified = simplifyConstraints(Local, E, Opts.Simplify);
+    Simplified = simplifyConstraints(Local, E, Opts.Simplify);
   }
-  W.Closure.merge(W.Simplified->stats());
+  W.Closure.merge(Simplified.stats());
   if (Opts.Cancel && Opts.Cancel->cancelled()) {
     W.TimedOut = true;
     return W;
   }
 
-  // Serialize the constraint file for later runs (and, under
-  // MergeViaFiles, for this run's own canonical merge).
-  if (CacheConfigured || Opts.MergeViaFiles) {
-    std::vector<std::pair<std::string, SetVar>> Externals;
-    std::unordered_set<SetVar> SeenVars;
-    for (VarId V : ExternalVars) {
-      SetVar SV = W.Maps.VarVar[V];
-      if (SeenVars.insert(SV).second)
-        Externals.emplace_back(P.Syms.name(P.var(V).Name), SV);
-    }
-    const std::string FileText = serializeConstraints(
-        *W.Simplified, Externals, P.Syms, Hash, OptionsFP);
-    W.FileBytes = FileText.size();
-    if (!Opts.CacheDir.empty())
-      writeFileAtomically(cachePathFor(C), FileText);
-    if (Opts.MemStore)
-      Opts.MemStore->store(componentStoreKey(Hash, OptionsFP, CompIdx),
-                           FileText);
-    std::string Error;
-    W.HasImage = Opts.MergeViaFiles &&
-                 decodeConstraintFile(FileText, W.Image, Error);
-  }
+  // Serialize the constraint file for later runs, and decode it for this
+  // run's merge exactly as a later cache hit would be.
+  const std::string FileText = serializeConstraints(
+      Simplified, Externals, P.Syms, Hash, OptionsFP);
+  W.FileBytes = FileText.size();
+  if (!Opts.CacheDir.empty())
+    writeFileAtomically(cachePathFor(C), FileText);
+  if (Opts.MemStore)
+    Opts.MemStore->store(componentStoreKey(Hash, OptionsFP, CompIdx),
+                         FileText);
+  std::string Error;
+  W.HasImage = decodeConstraintFile(FileText, W.Image, Error);
   return W;
 }
 
 void ComponentialAnalyzer::merge(uint32_t CompIdx, ComponentWork &W) {
   ComponentRunStats &CS = Stats[CompIdx];
   CS.Cache = W.Outcome;
+  if (W.CacheHit && !loadImage(W, CS)) {
+    // An injected parse fault or an external that names no top-level
+    // variable: fall back to a fresh derivation, skipping the cache.
+    W = deriveIsolated(CompIdx, /*AllowCache=*/false);
+    CS.Cache = W.Outcome;
+  }
   if (W.TimedOut) {
     CS.TimedOut = true;
     Info.Cancelled = true;
     return;
   }
-  if (W.CacheHit) {
-    if (loadImage(W, CS))
-      return;
-    // An injected parse fault or an external that names no top-level
-    // variable: fall back to a fresh derivation, skipping the cache.
-    W = deriveIsolated(CompIdx, /*AllowCache=*/false);
-    CS.Cache = W.Outcome;
-    if (W.TimedOut) {
-      CS.TimedOut = true;
-      Info.Cancelled = true;
-      return;
-    }
-  }
-
-  // Schema/instantiation counters from the component's private Deriver
-  // (zeros for a component served from the cache — nothing was derived).
-  Info.Derive.merge(W.Derive);
-
-  if (Opts.MergeViaFiles && W.FileBytes && loadImage(W, CS)) {
-    // Merged through the component's own serialized text, exactly as a
-    // later cache hit would be — the combined system stays a pure
-    // function of the per-component file texts.
-    CS.ReusedFile = false;
-    CS.RawConstraints = W.RawConstraints;
-    Info.Closure.merge(W.Closure);
-    MaxConstraints = std::max(MaxConstraints, W.RawConstraints);
+  if (W.CacheHit)
     return;
-  }
-  if (Opts.MergeViaFiles)
-    Info.MergedOffText = true; // identity guarantee void for this run
 
-  // Renumber the private context into the shared one. Variables below the
-  // watermark are the identically-allocated top-level prefix; the rest are
-  // appended as one dense block, so the shared numbering is a pure
-  // function of the program and the component order — independent of the
-  // thread count.
-  const SetVar NumPrivVars = W.Ctx->numVars();
-  assert(NumPrivVars >= SharedVarWatermark);
-  std::vector<SetVar> VarMap(NumPrivVars);
-  for (SetVar V = 0; V < SharedVarWatermark; ++V)
-    VarMap[V] = V;
-  for (SetVar V = SharedVarWatermark; V < NumPrivVars; ++V)
-    VarMap[V] = Ctx->freshVar();
-
-  // Constants: basic kinds are pre-interned identically; per-site tags are
-  // appended in private interning order. Struct tags are identified by
-  // their StructId so that two components using the same structure agree
-  // on one shared tag.
-  const ConstantTable &PrivConsts = W.Ctx->Constants;
-  const Constant NumBasics =
-      static_cast<Constant>(ConstKind::VecTag) + 1;
-  std::unordered_map<Constant, uint32_t> PrivStructOf;
-  for (uint32_t S = 0; S < W.Maps.StructTagOf.size(); ++S)
-    if (W.Maps.StructTagOf[S] != 0)
-      PrivStructOf.emplace(W.Maps.StructTagOf[S], S);
-  std::vector<Constant> ConstMap(PrivConsts.size());
-  for (Constant C = 0; C < PrivConsts.size(); ++C) {
-    if (C < NumBasics) {
-      ConstMap[C] = C;
-      continue;
-    }
-    const ConstantInfo &Info = PrivConsts.info(C);
-    if (auto It = PrivStructOf.find(C); It != PrivStructOf.end()) {
-      if (Maps.StructTagOf.size() <= It->second)
-        Maps.StructTagOf.resize(P.Structs.size(), 0);
-      Constant &Global = Maps.StructTagOf[It->second];
-      if (Global == 0)
-        Global =
-            Ctx->Constants.makeTag(Info.K, Info.Arity, Info.Loc, Info.Label);
-      ConstMap[C] = Global;
-      continue;
-    }
-    ConstMap[C] =
-        Ctx->Constants.makeTag(Info.K, Info.Arity, Info.Loc, Info.Label);
-  }
-
-  // Selectors: re-intern by name (idempotent), in private interning order.
-  const SelectorTable &PrivSels = W.Ctx->Selectors;
-  std::vector<Selector> SelMap(PrivSels.size());
-  for (Selector S = 0; S < PrivSels.size(); ++S)
-    SelMap[S] = Ctx->Selectors.intern(PrivSels.name(S), PrivSels.polarity(S),
-                                      PrivSels.ownerKinds(S));
-
-  // Fold the private side tables into the shared maps. Expression ids and
-  // non-top-level variable ids are disjoint across components, so first
-  // write wins without conflicts.
-  for (ExprId E = 0; E < W.Maps.ExprVar.size(); ++E)
-    if (W.Maps.ExprVar[E] != NoSetVar && Maps.ExprVar[E] == NoSetVar)
-      Maps.ExprVar[E] = VarMap[W.Maps.ExprVar[E]];
-  for (VarId V = 0; V < W.Maps.VarVar.size(); ++V)
-    if (W.Maps.VarVar[V] != NoSetVar && Maps.VarVar[V] == NoSetVar)
-      Maps.VarVar[V] = VarMap[W.Maps.VarVar[V]];
-  for (const CheckSite &Check : W.Maps.Checks) {
-    if (!Maps.CheckedSites.insert(Check.Site).second)
-      continue;
-    CheckSite Copy = Check;
-    for (CheckScrutinee &Scr : Copy.Scrutinees) {
-      Scr.V = VarMap[Scr.V];
-      if (Scr.HasRequiredTag)
-        Scr.RequiredTag = ConstMap[Scr.RequiredTag];
-    }
-    Maps.Checks.push_back(std::move(Copy));
-  }
-  for (const auto &[Site, Tag] : W.Maps.SiteTags)
-    Maps.SiteTags.emplace(Site, ConstMap[Tag]);
-  for (const auto &[Tag, Site] : W.Maps.TagSite)
-    Maps.TagSite.emplace(ConstMap[Tag], Site);
-
-  Combined->absorbMapped(*W.Simplified, VarMap, ConstMap, SelMap);
-  Info.Closure.merge(W.Closure);
+  // A fresh derivation merges through its own serialized text, exactly as
+  // a later cache hit would, so the combined system is a pure function of
+  // the per-component file texts.
+  if (!loadImage(W, CS))
+    throw std::logic_error("component " + P.Components[CompIdx].Name +
+                           ": its fresh constraint file does not load");
   CS.RawConstraints = W.RawConstraints;
-  CS.SimplifiedConstraints = W.Simplified->size();
-  CS.FileBytes = W.FileBytes;
+  Info.Derive.merge(W.Derive);
+  Info.Closure.merge(W.Closure);
   MaxConstraints = std::max(MaxConstraints, W.RawConstraints);
 }
 

@@ -18,14 +18,13 @@
 ///
 /// Step 1 is embarrassingly parallel and fans out across a worker pool
 /// (ComponentialOptions::Threads): each component derives into a *private*
-/// ConstraintContext, and the sequential combine of step 2 renumbers each
-/// private system's variables, constants, and selectors into the shared
-/// context in component order. The renumbering is a pure function of the
-/// program, so the combined system is bit-identical for every thread
-/// count. A cache hit, and under MergeViaFiles every component, arrives
-/// instead as a constraint file the worker already decoded; step 2
-/// commits it straight into the combined system, its variables one block
-/// in component order.
+/// ConstraintContext, serializes its simplified system, and decodes that
+/// text, all on its worker; a cache hit decodes the stored text instead.
+/// Step 2 commits every decoded image straight into the combined system,
+/// in component order, each image's variables one block. The combined
+/// system is thus a pure function of the per-component file texts: the
+/// same for every thread count, and the same for a warm run that reuses
+/// files as for a cold one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,12 +68,8 @@ struct ComponentialOptions {
   /// Optional in-memory constraint-file store, probed before CacheDir and
   /// filled alongside it. Not owned.
   ConstraintStore *MemStore = nullptr;
-  /// Merge every component into the combined system through its
-  /// serialized constraint-file text, whether it was a cache hit or a
-  /// fresh derivation. The combined system then is a pure function of the
-  /// per-component file texts, so a warm re-analysis that rederives only
-  /// edited components is byte-identical to a cold run at the same
-  /// options (the serve loop relies on this).
+  /// Does nothing: every component merges through its constraint-file
+  /// image. Declared only because perfbench/ still sets it.
   bool MergeViaFiles = false;
   /// Derivation options (polymorphism mode etc.).
   AnalysisOptions Derive;
@@ -112,7 +107,8 @@ struct ComponentRunStats {
   bool TimedOut = false;
   CacheOutcome Cache = CacheOutcome::Disabled;
   size_t RawConstraints = 0;        ///< closed, before simplification
-  size_t SimplifiedConstraints = 0; ///< saved to the constraint file
+  /// Committed from the constraint file, its relink edges included.
+  size_t SimplifiedConstraints = 0;
   size_t FileBytes = 0;
 };
 
@@ -154,7 +150,7 @@ struct ComponentialRunInfo {
   /// derivers (components served from the cache contribute nothing).
   DeriveStats Derive;
   double DeriveMs = 0; ///< step 1 (parallel fan-out), wall time
-  double MergeMs = 0;  ///< step 2 renumbering combine
+  double MergeMs = 0;  ///< step 2: committing the decoded images
   double CloseMs = 0;  ///< closing the combined system
   /// The run's CancelToken fired: the combined system is partial (some
   /// components' stats carry TimedOut, and/or the final close stopped
@@ -162,12 +158,8 @@ struct ComponentialRunInfo {
   bool Cancelled = false;
   /// False when the step-2 combined close was itself cut short.
   bool CloseConverged = true;
-  /// A MergeViaFiles run had to merge at least one component through the
-  /// renumbering path because its serialized text would not deserialize
-  /// (an injected or real parse fault on a fresh serialization). The
-  /// combined system is correct, but it is no longer a pure function of
-  /// the file texts, so byte-comparisons against a cold run are void —
-  /// the serve loop keeps the session dirty and rebuilds next pass.
+  /// Always false: every component merges through its file text.
+  /// Declared only because perfbench/ still reads it.
   bool MergedOffText = false;
 };
 
@@ -221,10 +213,9 @@ public:
   std::vector<SetVar> externalsOf(uint32_t CompIdx);
 
 private:
-  /// Everything one component's step-1 job produces. Derivation results
-  /// live in the job's private context until merge() renumbers them; a
-  /// constraint-file text (a cache hit's, or under MergeViaFiles the fresh
-  /// serialization) arrives decoded, ready to commit.
+  /// Everything one component's step-1 job produces: its constraint-file
+  /// text (a cache hit's, or the fresh serialization) decoded, ready to
+  /// commit, plus the job's telemetry.
   struct ComponentWork;
 
   void computeCrossReferences();
@@ -238,24 +229,24 @@ private:
   /// against to be reusable.
   std::vector<std::string> externalNamesOf(uint32_t CompIdx) const;
 
-  /// Step-1 worker body: derive+close+simplify+serialize component
-  /// \p CompIdx into a private context, or find a reusable constraint
+  /// Step-1 worker body: derive+close+simplify+serialize+decode component
+  /// \p CompIdx in a private context, or find a reusable constraint
   /// file: decode its header, check it (DESIGN.md §8), and only then
   /// decode its body. Reads only shared-immutable state and the job's own
   /// SourceHashes entry; runs on any thread.
   ComponentWork deriveIsolated(uint32_t CompIdx, bool AllowCache) const;
 
   /// Sequential combine of one component's work, in component order:
-  /// commits its decoded image, or renumbers private vars/constants/
-  /// selectors into the shared context and absorbs the simplified system
-  /// into Combined.
+  /// commits its decoded image. A stored image that does not load is
+  /// re-derived; a fresh one that does not load throws std::logic_error.
   void merge(uint32_t CompIdx, ComponentWork &W);
 
   /// Commits W's decoded image straight into Combined, re-linking its
   /// externals with this run's top-level variables. Returns false, with
   /// Combined, the shared context and the symbol table untouched, on an
-  /// injected parse fault (`scf.parse`), a text that did not decode, or
-  /// an external that names no top-level variable.
+  /// injected parse fault (`scf.parse`, drawn for stored texts only), a
+  /// text that did not decode, or an external that names no top-level
+  /// variable.
   bool loadImage(const ComponentWork &W, ComponentRunStats &CS);
 
   /// Lazily built Name -> VarId index over top-level defines (first
@@ -273,9 +264,6 @@ private:
   std::vector<std::string> SourceHashes; ///< per component; see sourceHash
   ComponentialRunInfo Info;
   size_t MaxConstraints = 0;
-  /// Shared set-variable prefix: the top-level variables every context
-  /// (shared and private) allocates identically before any derivation.
-  SetVar SharedVarWatermark = 0;
   std::unordered_map<uint32_t, std::unordered_set<VarId>> ReferencedBy;
   std::unordered_set<VarId> CrossReferenced;
   bool CrossRefsComputed = false;

@@ -683,34 +683,6 @@ void ConstraintSystem::absorbRaw(const ConstraintSystem &Other) {
   }
 }
 
-void ConstraintSystem::absorbMapped(const ConstraintSystem &Other,
-                                    const std::vector<SetVar> &VarMap,
-                                    const std::vector<Constant> &ConstMap,
-                                    const std::vector<Selector> &SelMap) {
-  Keys.reserve(Keys.size() + Other.NumBounds);
-  for (SetVar A = 0; A < Other.Slots.size(); ++A) {
-    if (Other.Slots[A] == NoSlot)
-      continue;
-    SetVar MA = VarMap[A];
-    for (const LowerBound &L : Other.lowerBounds(A)) {
-      if (L.K == LowerBound::Kind::ConstLB)
-        insertLowerRaw(MA, LowerBound::constant(ConstMap[L.C]));
-      else
-        insertLowerRaw(
-            MA, LowerBound::selector(SelMap[L.Sel], VarMap[L.Other]));
-    }
-    for (const UpperBound &U : Other.upperBounds(A)) {
-      if (U.K == UpperBound::Kind::VarUB)
-        insertUpperRaw(MA, UpperBound::var(VarMap[U.Other]));
-      else if (U.K == UpperBound::Kind::FilterUB)
-        insertUpperRaw(MA, UpperBound::filter(U.Sel, VarMap[U.Other]));
-      else
-        insertUpperRaw(
-            MA, UpperBound::selector(SelMap[U.Sel], VarMap[U.Other]));
-    }
-  }
-}
-
 std::string ConstraintSystem::str() const {
   // Bounds print in canonical (key-sorted) order, not storage order, so
   // the rendering depends only on the closed bound set, not on the order

@@ -420,22 +420,11 @@ public:
   /// Solver counters accumulated so far (never reset).
   const ClosureStats &stats() const { return Stats; }
 
-  /// Copies every constraint of \p Other into this system (raw); call
-  /// close() afterwards. Used by the componential combiner (§7.1 step 2).
+  /// Copies every constraint of \p Other, which shares this system's
+  /// context, into this system (raw); call close() afterwards.
   /// Constraints are copied in ascending variable order, so the result is
   /// deterministic for a given \p Other.
   void absorbRaw(const ConstraintSystem &Other);
-
-  /// Like absorbRaw, but \p Other lives in a *different* context: every
-  /// variable v is renamed to VarMap[v], every constant c to ConstMap[c],
-  /// and every selector s to SelMap[s] (FilterUB masks are kind masks, not
-  /// selectors, and pass through unchanged). Used by the parallel
-  /// componential combiner to merge per-component systems derived in
-  /// private contexts.
-  void absorbMapped(const ConstraintSystem &Other,
-                    const std::vector<SetVar> &VarMap,
-                    const std::vector<Constant> &ConstMap,
-                    const std::vector<Selector> &SelMap);
 
   /// Renders the system for debugging/tests, one constraint per line.
   std::string str() const;

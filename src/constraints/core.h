@@ -25,7 +25,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +52,7 @@ struct ConstantInfo {
 };
 
 /// Interns constants. Basic kinds (Num..VecTag) get exactly one constant;
+/// a struct tag gets one per declaration (location and label); the other
 /// tag kinds get one per call to makeTag.
 class ConstantTable {
 public:
@@ -68,10 +71,19 @@ public:
     return static_cast<Constant>(K);
   }
 
-  /// Interns a fresh per-site tag.
+  /// Interns a fresh per-site tag. A StructTag is interned by its
+  /// declaration, so every component that builds or reads one structure,
+  /// derived or committed from a constraint file, agrees on one tag.
   Constant makeTag(ConstKind K, uint32_t Arity, SourceLoc Loc,
                    Symbol Label = InvalidSymbol) {
     assert(K > ConstKind::VecTag && K < ConstKind::NumConstKinds);
+    if (K == ConstKind::StructTag) {
+      auto [It, Fresh] = StructTags.try_emplace(
+          std::make_tuple(Loc.File, Loc.Line, Loc.Col, Label),
+          static_cast<Constant>(Infos.size()));
+      if (!Fresh)
+        return It->second;
+    }
     ConstantInfo Info;
     Info.K = K;
     Info.Arity = Arity;
@@ -95,6 +107,9 @@ public:
 
 private:
   std::vector<ConstantInfo> Infos;
+  /// (file, line, column, label) of a struct declaration -> its tag.
+  std::map<std::tuple<uint32_t, uint32_t, uint32_t, Symbol>, Constant>
+      StructTags;
 };
 
 /// Interns selectors. A selector is identified by a (base name, index)

@@ -438,18 +438,3 @@ SetVar spidey::commitConstraintImage(const ConstraintImage &Img,
   }
   return Base;
 }
-
-bool spidey::deserializeConstraints(std::string_view Text, SymbolTable &Syms,
-                                    ConstraintSystem &Out,
-                                    LoadedConstraints &Info,
-                                    std::string &Error) {
-  ConstraintImage Img;
-  if (!decodeConstraintFile(Text, Img, Error))
-    return false;
-  SetVar Base = commitConstraintImage(Img, Syms, Out);
-  Info.SourceHash = std::move(Img.SourceHash);
-  Info.OptionsFingerprint = std::move(Img.OptionsFingerprint);
-  for (auto &[Key, Local] : Img.Externals)
-    Info.Externals.emplace_back(std::move(Key), Base + Local);
-  return true;
-}

@@ -119,20 +119,6 @@ SetVar commitConstraintImage(const ConstraintImage &Img, SymbolTable &Syms,
                              ConstraintSystem &Out,
                              const std::vector<SetVar> &Links = {});
 
-/// Result of loading a constraint file.
-struct LoadedConstraints {
-  std::string SourceHash;
-  std::string OptionsFingerprint;
-  std::vector<std::pair<std::string, SetVar>> Externals;
-};
-
-/// Parses \p Text, adding all constraints (raw, unclosed) into \p Out,
-/// which must use the target context. Returns false with \p Error set on
-/// malformed input, leaving \p Out, its context and \p Syms untouched.
-bool deserializeConstraints(std::string_view Text, SymbolTable &Syms,
-                            ConstraintSystem &Out, LoadedConstraints &Info,
-                            std::string &Error);
-
 } // namespace spidey
 
 #endif // SPIDEY_CONSTRAINTS_SERIALIZE_H

@@ -135,6 +135,22 @@ std::string profile(const Program &P, const AnalysisMaps &Maps,
   return Out;
 }
 
+/// The verdicts of one file's check sites in \p S, one line per site in
+/// site order — comparable across contexts, as profiles are.
+std::string verdictsOf(const Program &P, const AnalysisMaps &Maps,
+                       const ConstraintSystem &S, uint32_t File) {
+  DebugReport R = runChecks(P, Maps, S, File);
+  std::sort(R.Results.begin(), R.Results.end(),
+            [](const CheckResult &A, const CheckResult &B) {
+              return A.Site < B.Site;
+            });
+  std::ostringstream OS;
+  for (const CheckResult &CR : R.Results)
+    OS << CR.What << " check at " << CR.Loc.Line << ":" << CR.Loc.Col
+       << (CR.Safe ? " safe\n" : " unsafe\n");
+  return OS.str();
+}
+
 /// First line where two profiles disagree, for the violation message.
 std::string firstDiff(const std::string &A, const std::string &B) {
   std::istringstream SA(A), SB(B);
@@ -267,7 +283,8 @@ OracleVerdict checkComponential(const Program &P, const OracleOptions &Opts) {
   // The combined system intentionally only preserves the cross-referenced
   // interface; full precision for a component's own definitions requires
   // step-3 reconstruction. Compare each component's reconstructed system
-  // against the whole-program analysis at that component's definitions.
+  // against the whole-program analysis at that component's definitions
+  // and check sites.
   ComponentialOptions CO;
   CO.Threads = 1;
   ComponentialAnalyzer CA(P, CO);
@@ -282,6 +299,15 @@ OracleVerdict checkComponential(const Program &P, const OracleOptions &Opts) {
       V.Violation = true;
       V.Message = "whole-program and reconstructed component " + C.Name +
                   " disagree: " + firstDiff(Reference, Got);
+      return V;
+    }
+    std::string WantChecks = verdictsOf(P, Whole.Maps, *Whole.System, I);
+    std::string GotChecks = verdictsOf(P, CA.maps(), *Full, I);
+    if (GotChecks != WantChecks) {
+      V.Violation = true;
+      V.Message = "whole-program and reconstructed component " + C.Name +
+                  " disagree on check verdicts: " +
+                  firstDiff(WantChecks, GotChecks);
       return V;
     }
   }
@@ -437,9 +463,9 @@ OracleVerdict checkChaos(const std::vector<SourceFile> &Files,
   if (!answer(R"({"cmd":"check-summary"})", true))
     return V;
 
-  // MergeViaFiles makes the combined system a pure function of the
-  // per-component file texts, so even a session that analyzed *under*
-  // faults must hold the cold-run bytes once the dust settles.
+  // The combined system is a pure function of the per-component file
+  // texts, so even a session that analyzed *under* faults must hold the
+  // cold-run bytes once the dust settles.
   FaultInjector::instance().reset();
   std::string Got = S.combinedText();
   if (Got != Reference) {
@@ -459,8 +485,8 @@ OracleVerdict checkChaos(const std::vector<SourceFile> &Files,
 //===----------------------------------------------------------------------===
 
 /// The ground-truth answers for one program state, computed the
-/// pre-demand-driven way: a reference analyzer (Threads=1, MergeViaFiles —
-/// the same deterministic numbering the serve session uses), a fresh
+/// pre-demand-driven way: a reference analyzer (Threads=1 — the same
+/// deterministic numbering the serve session uses), a fresh
 /// FlowGraph for the flow counts, and a full reconstruct sweep for the
 /// summary. Variable ids are comparable raw because both sides number
 /// identically.
@@ -485,7 +511,6 @@ QueryRefAnswers queryReference(const std::vector<SourceFile> &Files) {
   const Program &P = PP.Prog;
   ComponentialOptions CO;
   CO.Threads = 1;
-  CO.MergeViaFiles = true;
   ComponentialAnalyzer CA(P, CO);
   CA.run();
   const ConstraintSystem &S = CA.combined();

@@ -247,7 +247,6 @@ bool ServeSession::ensureAnalyzed(std::string &Error) {
   CO.Threads = Opts.Threads;
   CO.CacheDir = Opts.CacheDir;
   CO.MemStore = &StoreView;
-  CO.MergeViaFiles = true;
   CO.Cancel = Token.get();
   const uint64_t HitsBefore = StoreView.hits();
   const uint64_t CrossBefore = StoreView.crossSessionHits();
@@ -309,16 +308,12 @@ bool ServeSession::ensureAnalyzed(std::string &Error) {
 
   // A degraded pass leaves the session dirty: the partial combined system
   // answers this request, and the next analyze starts over — once within
-  // budget it produces the exact cold-run result. A run that lost the
-  // file-merge byte-identity guarantee (a component's serialized text
-  // failed to deserialize, so it merged through the renumbering path)
-  // stays dirty for the same reason: its combined system is correct but
-  // not byte-comparable, and the next healthy pass restores identity.
-  Dirty = LastDegraded || Info.MergedOffText;
+  // budget it produces the exact cold-run result.
+  Dirty = LastDegraded;
 
-  // Rebind the query engine to the new generation. A dirty (degraded or
-  // off-text) generation is volatile: queries answer over the partial
-  // system but never read or write the cross-edit memo caches. Verdict
+  // Rebind the query engine to the new generation. A dirty (degraded)
+  // generation is volatile: queries answer over the partial system but
+  // never read or write the cross-edit memo caches. Verdict
   // memoization is additionally gated off for polymorphic derivation,
   // where reconstruction order feeds a shared schema table and
   // per-component verdicts are not a pure function of the component.

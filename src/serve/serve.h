@@ -11,9 +11,9 @@
 /// the edited component itself, plus an external-set change for any
 /// dependent whose interface the edit altered.
 ///
-/// Because the session runs the analyzer with MergeViaFiles, the combined
-/// system after a warm edit is byte-identical to a cold whole-program run
-/// at the same options.
+/// Because the analyzer merges every component through its constraint-file
+/// image, the combined system after a warm edit is byte-identical to a
+/// cold run at the same options.
 ///
 /// "flow" and "check-summary" answer through the demand-driven query
 /// engine (query/query_engine.h, DESIGN.md §12): a persistent per-

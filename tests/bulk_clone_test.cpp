@@ -82,8 +82,9 @@ TEST(BulkClone, ByteIdenticalOnGeneratedProgram) {
 }
 
 TEST(BulkClone, CombinedSystemByteIdenticalComponential) {
-  // The per-component derive runs in private contexts; the renumbered
-  // combined system must not depend on the instantiation path either.
+  // The per-component derive runs in private contexts; the combined
+  // system merged from their images must not depend on the instantiation
+  // path either.
   Parsed R = parseFiles(generateProgram(benchmarkConfig("scanner")));
   ASSERT_TRUE(R.Ok);
   ComponentialOptions Opts;

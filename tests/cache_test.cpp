@@ -4,12 +4,14 @@
 /// Regressions for the constraint-file cache: analysis-options
 /// fingerprinting, atomic writes under concurrent analyzers, collision-
 /// proof cache file names, external-set (interface) invalidation of
-/// dependents, and name-based relinking when a definition moves between
-/// components.
+/// dependents, name-based relinking when a definition moves between
+/// components, and check verdicts on structures shared across files.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "componential/componential.h"
+#include "debugger/checks.h"
+#include "query/query_engine.h"
 #include "test_util.h"
 
 #include <filesystem>
@@ -228,7 +230,6 @@ TEST(Cache, CorruptBodyRederivesToColdBytes) {
                   "(define s (pick 5))"},
   };
   ComponentialOptions Opts;
-  Opts.MergeViaFiles = true;
   std::string Cold;
   {
     Parsed R = parseFiles(Files);
@@ -273,7 +274,6 @@ TEST(Cache, CorruptBodyRederivesToColdBytes) {
         << What;
     EXPECT_FALSE(CA.componentStats()[0].ReusedFile) << What;
     EXPECT_EQ(CA.componentStats()[1].Cache, CacheOutcome::Hit) << What;
-    EXPECT_FALSE(CA.runInfo().MergedOffText) << What;
     EXPECT_EQ(CA.combined().str(), Cold) << What;
   }
 }
@@ -486,4 +486,48 @@ TEST(Cache, RelinkBindsTheCurrentPrograms) {
             kindsAt(*Fresh.Prog, FreshCA.maps(), *FreshFull, "r"));
   EXPECT_EQ(kindsAt(*R.Prog, CA.maps(), *Full, "r"),
             std::vector<std::string>{"str"});
+}
+
+//===----------------------------------------------------------------------===//
+// Structures across files: one tag per declaration, cached or not.
+//===----------------------------------------------------------------------===//
+
+TEST(Cache, CrossFileStructVerdictsMatchWholeColdAndWarm) {
+  // lib.ss builds a point and a size; main.ss reads both. Only
+  // (point-x box) is unsafe. A component committed from its file image
+  // must share the declaration's tag with the reconstructed reader, or
+  // every read is flagged.
+  const std::vector<SourceFile> Files = {
+      {"lib.ss", "(define-struct point (x y))\n"
+                 "(define-struct size (w h))\n"
+                 "(define origin (make-point 0 0))\n"
+                 "(define box (make-size 3 4))\n"},
+      {"main.ss", "(define ox (point-x origin))\n"
+                  "(define bx (point-x box))\n"
+                  "(define bw (size-w box))\n"},
+  };
+  Parsed W = parseFiles(Files);
+  ASSERT_TRUE(W.Ok) << W.Diags.str();
+  Analysis Whole = analyzeProgram(*W.Prog);
+  const std::string Want =
+      runChecks(*W.Prog, Whole.Maps, *Whole.System).summary(*W.Prog);
+  EXPECT_EQ(Want, "CHECKS:\n"
+                  "point-x check in file \"main.ss\" line 2\n"
+                  "TOTAL CHECKS: 1 (of 3 possible checks is 33.3%)\n");
+
+  ScratchDir Dir("spidey_cache_cross_file_struct_test");
+  ComponentialOptions Opts;
+  Opts.CacheDir = Dir.Path;
+  for (bool Warm : {false, true}) {
+    Parsed R = parseFiles(Files);
+    ComponentialAnalyzer CA(*R.Prog, Opts);
+    CA.run();
+    for (const ComponentRunStats &CS : CA.componentStats())
+      EXPECT_EQ(CS.ReusedFile, Warm);
+    QueryEngine QE;
+    QE.rebind(*R.Prog, CA, /*Tok=*/nullptr, /*Volatile=*/false,
+              /*AllowVerdictCache=*/false, CA.optionsFingerprint());
+    EXPECT_EQ(QE.checkSummary().Summary, Want)
+        << (Warm ? "warm" : "cold") << " run";
+  }
 }

@@ -563,6 +563,35 @@ TEST(ChaosRecovery, InjectedWipeRecoversMidSession) {
   EXPECT_EQ(S.combinedText(), coldText(MainB));
 }
 
+TEST(ChaosRecovery, ParseFaultsDrawOnlyForStoredTexts) {
+  // scf.parse fails the commit of a stored text, which then re-derives. A
+  // fresh derivation's own image never draws: a cold session under
+  // scf.parse=1 builds the fault-free cold system and stays clean.
+  FaultScope Scope;
+  const std::string ColdA = coldText(MainA);
+  const std::string ColdB = coldText(MainB);
+  ServeOptions O;
+  O.Threads = 1;
+  ServeSession S(O);
+  S.setFiles(filesWith(MainA));
+  ASSERT_TRUE(FaultInjector::instance().configure("seed=3,scf.parse=1"));
+  json::Value R = S.handle(parsedResponse(R"({"cmd":"analyze"})"));
+  ASSERT_TRUE(R.find("ok")->asBool()) << R.dump();
+  EXPECT_EQ(num(R, "rederived"), 3);
+  EXPECT_EQ(S.combinedText(), ColdA);
+  R = S.handle(parsedResponse(R"({"cmd":"analyze"})"));
+  EXPECT_FALSE(R.find("reanalyzed")->asBool()) << R.dump();
+
+  // After an edit, both unchanged components are store hits whose commit
+  // faults, so all three re-derive, to the cold bytes of the edit.
+  S.handle(editRequest("main.ss", MainB));
+  R = S.handle(parsedResponse(R"({"cmd":"analyze"})"));
+  ASSERT_TRUE(R.find("ok")->asBool()) << R.dump();
+  EXPECT_EQ(num(R, "reused"), 0);
+  EXPECT_EQ(num(R, "rederived"), 3);
+  EXPECT_EQ(S.combinedText(), ColdB);
+}
+
 //===----------------------------------------------------------------------===//
 // The chaos loop: 500 randomized fault schedules, one surviving session
 //===----------------------------------------------------------------------===//

@@ -220,18 +220,18 @@ TEST(Serialize, RoundTripPreservesSolution) {
   std::string Text = serializeConstraints(
       S, {{"fn", F}, {"res", R}}, Syms, hashSource("src"), "fp-test");
 
-  ConstraintContext Ctx2;
-  ConstraintSystem S2{Ctx2};
-  LoadedConstraints Info;
+  ConstraintImage Img;
   std::string Error;
-  ASSERT_TRUE(deserializeConstraints(Text, Syms, S2, Info, Error)) << Error;
-  EXPECT_EQ(Info.SourceHash, hashSource("src"));
-  EXPECT_EQ(Info.OptionsFingerprint, "fp-test");
-  ASSERT_EQ(Info.Externals.size(), 2u);
-  EXPECT_EQ(Info.Externals[0].first, "fn");
+  ASSERT_TRUE(decodeConstraintFile(Text, Img, Error)) << Error;
+  EXPECT_EQ(Img.SourceHash, hashSource("src"));
+  EXPECT_EQ(Img.OptionsFingerprint, "fp-test");
+  ASSERT_EQ(Img.Externals.size(), 2u);
+  EXPECT_EQ(Img.Externals[0].first, "fn");
 
   // Re-link: apply the function to a number and check the flow works.
-  SetVar F2 = Info.Externals[0].second;
+  ConstraintContext Ctx2;
+  ConstraintSystem S2{Ctx2};
+  SetVar F2 = commitConstraintImage(Img, Syms, S2) + Img.Externals[0].second;
   S2.close();
   SetVar Arg = Ctx2.freshVar(), Out = Ctx2.freshVar();
   S2.addSelUpper(F2, Ctx2.dom(0), Arg);
@@ -250,12 +250,9 @@ TEST(Serialize, RoundTripPreservesSolution) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  ConstraintContext Ctx;
-  SymbolTable Syms;
-  ConstraintSystem S{Ctx};
-  LoadedConstraints Info;
+  ConstraintImage Img;
   std::string Error;
-  EXPECT_FALSE(deserializeConstraints("not a file", Syms, S, Info, Error));
+  EXPECT_FALSE(decodeConstraintFile("not a file", Img, Error));
   EXPECT_FALSE(Error.empty());
 }
 

@@ -3,13 +3,13 @@
 /// \file
 /// Golden bytes for the constraint-file format (§7.1) and for the combined
 /// system merged from it. `tests/golden/` holds lib.ss's `.scf` text and
-/// `combined().str()` under MergeViaFiles for the two-file program below,
-/// whose files use every record kind (cl, sl, vu, fu, su) and both
-/// labelled and unlabelled constants. The expected files were generated
-/// before the loader was split into a context-free decode and a commit,
-/// so they pin two things across loader changes: files that earlier
-/// builds wrote stay loadable, and loading keeps the variable, constant
-/// and selector numbering of the combined system.
+/// `combined().str()` for the two-file program below, whose files use
+/// every record kind (cl, sl, vu, fu, su) and both labelled and
+/// unlabelled constants. The expected files were generated before the
+/// loader was split into a context-free decode and a commit, so they pin
+/// two things across loader changes: files that earlier builds wrote stay
+/// loadable, and loading keeps the variable, constant and selector
+/// numbering of the combined system.
 ///
 /// On a mismatch the actual text is written to the system temp directory
 /// and its path printed; an intended format change regenerates the
@@ -82,10 +82,9 @@ struct ScratchDir {
   std::string Path;
 };
 
-ComponentialOptions viaFiles(const std::string &CacheDir) {
+ComponentialOptions cachedIn(const std::string &CacheDir) {
   ComponentialOptions Opts;
   Opts.CacheDir = CacheDir;
-  Opts.MergeViaFiles = true;
   Opts.Threads = 1;
   return Opts;
 }
@@ -96,7 +95,7 @@ TEST(Golden, WriterAndCombinedSystemKeepTheirBytes) {
   ScratchDir Dir("spidey_golden_cold");
   Parsed R = parseFiles(GoldenProgram);
   ASSERT_TRUE(R.Ok) << R.Diags.str();
-  ComponentialAnalyzer CA(*R.Prog, viaFiles(Dir.Path));
+  ComponentialAnalyzer CA(*R.Prog, cachedIn(Dir.Path));
   CA.run();
   for (const ComponentRunStats &CS : CA.componentStats())
     EXPECT_EQ(CS.Cache, CacheOutcome::MissNoEntry);
@@ -114,7 +113,7 @@ TEST(Golden, CheckedInFileLoadsToTheSameCombinedSystem) {
       << golden("lib.ss.scf.txt");
   Parsed R = parseFiles(GoldenProgram);
   ASSERT_TRUE(R.Ok) << R.Diags.str();
-  ComponentialAnalyzer CA(*R.Prog, viaFiles(Dir.Path));
+  ComponentialAnalyzer CA(*R.Prog, cachedIn(Dir.Path));
   CA.run();
   EXPECT_EQ(CA.componentStats()[0].Cache, CacheOutcome::Hit);
   EXPECT_TRUE(CA.componentStats()[0].ReusedFile);

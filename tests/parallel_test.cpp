@@ -81,7 +81,7 @@ TEST(WorkerPool, PropagatesJobExceptions) {
 
 //===----------------------------------------------------------------------===
 // Determinism: the combined closed system must be identical for every
-// thread count (the renumbering merge is a pure function of the program).
+// thread count (the merge commits file images in component order).
 //===----------------------------------------------------------------------===
 
 TEST(ParallelComponential, DeterministicAcrossThreadCounts) {

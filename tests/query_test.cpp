@@ -168,7 +168,6 @@ struct QueryEngineTest : ::testing::Test {
     ASSERT_TRUE(PR.Ok) << PR.Diags.str();
     ComponentialOptions CO;
     CO.Threads = 1;
-    CO.MergeViaFiles = true;
     CA = std::make_unique<ComponentialAnalyzer>(*PR.Prog, CO);
     CA->run();
     QE.rebind(*PR.Prog, *CA, /*Tok=*/nullptr, /*Volatile=*/false,
@@ -333,7 +332,6 @@ TEST_F(QueryEngineTest, CancelledFlowDegradesThenRecoversExactly) {
   ASSERT_TRUE(PR.Ok) << PR.Diags.str();
   ComponentialOptions CO;
   CO.Threads = 1;
-  CO.MergeViaFiles = true;
   CA = std::make_unique<ComponentialAnalyzer>(*PR.Prog, CO);
   CA->run();
   CancelToken Tok;

@@ -31,6 +31,18 @@ std::string serializeSample(ConstraintContext &Ctx, SymbolTable &Syms) {
   return serializeConstraints(S, {{"a", A}, {"b", B}}, Syms, "h", "fp");
 }
 
+/// Decodes \p Text and commits it into a system over \p Ctx; returns the
+/// system's size.
+size_t roundTrip(const std::string &Text, SymbolTable &Syms,
+                 ConstraintContext &Ctx) {
+  ConstraintImage Img;
+  std::string Error;
+  EXPECT_TRUE(decodeConstraintFile(Text, Img, Error)) << Error;
+  ConstraintSystem Out(Ctx);
+  commitConstraintImage(Img, Syms, Out);
+  return Out.size();
+}
+
 } // namespace
 
 TEST(Robustness, TruncatedConstraintFilesRejected) {
@@ -42,23 +54,16 @@ TEST(Robustness, TruncatedConstraintFilesRejected) {
   // constraints.
   size_t ConstraintSection = Text.find("\nconstraints");
   for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
-    ConstraintContext Ctx2;
-    ConstraintSystem Out(Ctx2);
-    LoadedConstraints Info;
+    ConstraintImage Img;
     std::string Error;
-    bool Ok = deserializeConstraints(Text.substr(0, Cut), Syms, Out, Info,
-                                     Error);
+    bool Ok = decodeConstraintFile(Text.substr(0, Cut), Img, Error);
     if (Cut < ConstraintSection) {
-      EXPECT_FALSE(Ok && Out.size() > 0) << "cut at " << Cut;
+      EXPECT_FALSE(Ok && !Img.Records.empty()) << "cut at " << Cut;
     }
   }
   // The full text round-trips with every constraint intact.
-  ConstraintContext Ctx3;
-  ConstraintSystem Out(Ctx3);
-  LoadedConstraints Info;
-  std::string Error;
-  EXPECT_TRUE(deserializeConstraints(Text, Syms, Out, Info, Error)) << Error;
-  EXPECT_EQ(Out.size(), 6u); // 5 written + 1 closure-derived before saving
+  ConstraintContext Ctx2;
+  EXPECT_EQ(roundTrip(Text, Syms, Ctx2), 6u); // 5 written + 1 closure-derived
 }
 
 TEST(Robustness, CorruptedFieldsRejected) {
@@ -66,11 +71,9 @@ TEST(Robustness, CorruptedFieldsRejected) {
   SymbolTable Syms;
   std::string Text = serializeSample(Ctx, Syms);
   auto Expect = [&](const std::string &Mutated) {
-    ConstraintContext Ctx2;
-    ConstraintSystem Out(Ctx2);
-    LoadedConstraints Info;
+    ConstraintImage Img;
     std::string Error;
-    EXPECT_FALSE(deserializeConstraints(Mutated, Syms, Out, Info, Error));
+    EXPECT_FALSE(decodeConstraintFile(Mutated, Img, Error));
     EXPECT_FALSE(Error.empty());
   };
   Expect("wrong-magic 2\n" + Text.substr(Text.find("hash")));
@@ -110,12 +113,9 @@ TEST(Robustness, HostileConstraintFilesRejectedWithDiagnostic) {
   // and in particular must not crash (SelectorTable::intern asserts
   // polarity consistency, so a raw intern of a flipped selector aborts).
   auto Expect = [&](const std::string &Mutated, const char *What) {
-    ConstraintContext Ctx2;
-    ConstraintSystem Out(Ctx2);
-    LoadedConstraints Info;
+    ConstraintImage Img;
     std::string Error;
-    EXPECT_FALSE(deserializeConstraints(Mutated, Syms, Out, Info, Error))
-        << What;
+    EXPECT_FALSE(decodeConstraintFile(Mutated, Img, Error)) << What;
     EXPECT_FALSE(Error.empty()) << What;
   };
   auto Replace = [&](const std::string &From, const std::string &To) {
@@ -191,11 +191,7 @@ TEST(Robustness, SelectorFamiliesRoundTrip) {
   }
   std::string Text = serializeConstraints(S, {{"a", A}}, Syms, "h", "fp");
   ConstraintContext Ctx2;
-  ConstraintSystem Out(Ctx2);
-  LoadedConstraints Info;
-  std::string Error;
-  ASSERT_TRUE(deserializeConstraints(Text, Syms, Out, Info, Error)) << Error;
-  EXPECT_EQ(Out.size(), S.size());
+  EXPECT_EQ(roundTrip(Text, Syms, Ctx2), S.size());
 }
 
 TEST(Robustness, GarbageCacheFileFallsBackToDerivation) {

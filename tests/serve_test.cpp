@@ -9,6 +9,7 @@
 
 #include "componential/componential.h"
 #include "constraints/const_kind.h"
+#include "debugger/checks.h"
 #include "debugger/flow.h"
 #include "serve/serve.h"
 #include "test_util.h"
@@ -206,6 +207,44 @@ TEST(Serve, FlowAndCheckSummary) {
   EXPECT_NE(Checks.str("summary").find("car check"), std::string::npos);
 }
 
+// A structure built in lib.ss and read in main.ss: the session's summary
+// is the standard analysis's, both cold and after an edit that serves
+// lib.ss from the store. Only (point-x box) is unsafe.
+TEST(Serve, CrossFileStructSummaryMatchesWhole) {
+  std::vector<SourceFile> Files = {
+      {"lib.ss", "(define-struct point (x y))\n"
+                 "(define-struct size (w h))\n"
+                 "(define origin (make-point 0 0))\n"
+                 "(define box (make-size 3 4))\n"},
+      {"main.ss", "(define ox (point-x origin))\n"
+                  "(define bx (point-x box))\n"
+                  "(define bw (size-w box))\n"},
+  };
+  Parsed W = parseFiles(Files);
+  ASSERT_TRUE(W.Ok) << W.Diags.str();
+  Analysis Whole = analyzeProgram(*W.Prog);
+  const std::string Want =
+      runChecks(*W.Prog, Whole.Maps, *Whole.System).summary(*W.Prog);
+  EXPECT_NE(Want.find("TOTAL CHECKS: 1 "), std::string::npos) << Want;
+
+  ServeSession S({});
+  S.setFiles(Files);
+  json::Value Cold = S.handle(request(R"js({"cmd":"check-summary"})js"));
+  ASSERT_TRUE(Cold.find("ok")->asBool()) << Cold.dump();
+  EXPECT_EQ(Cold.str("summary"), Want);
+
+  json::Value Req = json::Value::object();
+  Req.set("cmd", "edit");
+  Req.set("file", "main.ss");
+  Req.set("text", Files[1].Text + "(define probe 1)\n");
+  ASSERT_TRUE(S.handle(Req).find("ok")->asBool());
+  json::Value Analyzed = S.handle(request(R"js({"cmd":"analyze"})js"));
+  EXPECT_EQ(num(Analyzed, "reused"), 1);
+  json::Value Warm = S.handle(request(R"js({"cmd":"check-summary"})js"));
+  ASSERT_TRUE(Warm.find("ok")->asBool()) << Warm.dump();
+  EXPECT_EQ(Warm.str("summary"), Want);
+}
+
 TEST(Serve, StatsAndErrors) {
   ServeSession S({});
   S.setFiles(ThreeFiles);
@@ -366,7 +405,6 @@ FlowRef flowReference(const std::vector<SourceFile> &Files,
     return F;
   ComponentialOptions CO;
   CO.Threads = 1;
-  CO.MergeViaFiles = true;
   ComponentialAnalyzer CA(*PR.Prog, CO);
   CA.run();
   for (VarId V = 0; V < PR.Prog->numVars(); ++V) {
